@@ -10,6 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <cmath>
 #include <complex>
 #include <cstdint>
 #include <cstring>
@@ -53,16 +54,49 @@ bool bits_equal(double a, double b) {
     return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
-/// Objective vectors of the two paths must agree bit-for-bit.
+/// V(out)/V(in) of a freshly built circuit through the generic DcSolver +
+/// run_ac path; empty when DC or AC fails.
+std::vector<std::complex<double>> rebuild_transfer(spice::Circuit& ckt,
+                                                   const std::vector<double>& freqs,
+                                                   const char* out, const char* in) {
+    const spice::DcSolver solver;
+    const spice::DcResult op = solver.solve(ckt);
+    if (!op.converged) return {};
+    try {
+        const spice::AcResult ac = spice::run_ac(ckt, op.solution, freqs);
+        return ac.transfer(*ckt.find_node(out), *ckt.find_node(in));
+    } catch (const NumericalError&) {
+        return {};
+    }
+}
+
+/// The rebuild arm: one OTA point with no prototype - build the testbench,
+/// solve it, extract the Bode metrics.
+circuits::OtaPerformance rebuild_ota(const circuits::OtaConfig& cfg,
+                                     const circuits::OtaSizing& sizing) {
+    circuits::OtaPerformance perf;
+    spice::Circuit ckt = circuits::build_ota_testbench(sizing, cfg);
+    const auto freqs =
+        spice::log_sweep(cfg.f_start, cfg.f_stop, cfg.points_per_decade);
+    const auto h = rebuild_transfer(ckt, freqs, "out", "inp");
+    if (h.empty()) return perf;
+    perf.bode = spice::bode_metrics(freqs, h);
+    perf.gain_db = perf.bode.dc_gain_db;
+    perf.pm_deg = perf.bode.phase_margin_deg;
+    perf.valid = !std::isnan(perf.pm_deg) && perf.gain_db > 0.0;
+    return perf;
+}
+
+/// Objective vectors of the two arms must agree bit-for-bit.
 bool chunk_matches_scalar(const circuits::OtaEvaluator& evaluator,
                           const std::vector<circuits::OtaSizing>& sizings) {
     const auto chunk = evaluator.measure_chunk(sizings);
     for (std::size_t i = 0; i < sizings.size(); ++i) {
-        const auto scalar = evaluator.measure(sizings[i]);
-        if (scalar.valid != chunk[i].valid) return false;
-        if (!scalar.valid) continue;
-        if (!bits_equal(scalar.gain_db, chunk[i].gain_db) ||
-            !bits_equal(scalar.pm_deg, chunk[i].pm_deg))
+        const auto rebuilt = rebuild_ota(evaluator.config(), sizings[i]);
+        if (rebuilt.valid != chunk[i].valid) return false;
+        if (!rebuilt.valid) continue;
+        if (!bits_equal(rebuilt.gain_db, chunk[i].gain_db) ||
+            !bits_equal(rebuilt.pm_deg, chunk[i].pm_deg))
             return false;
     }
     return true;
@@ -78,17 +112,30 @@ std::vector<circuits::FilterSizing> filter_sizing_chunk(std::size_t n) {
     return out;
 }
 
+/// The filter rebuild arm: build, solve, extract the mask metrics.
+circuits::FilterPerformance rebuild_filter(const circuits::FilterEvaluator& evaluator,
+                                           const circuits::FilterSizing& sizing,
+                                           circuits::OtaModelKind kind) {
+    const circuits::FilterConfig& cfg = evaluator.config();
+    spice::Circuit ckt = circuits::build_filter(sizing, cfg, kind);
+    const auto freqs =
+        spice::log_sweep(cfg.f_start, cfg.f_stop, cfg.points_per_decade);
+    const auto h = rebuild_transfer(ckt, freqs, "vout", "vin");
+    if (h.empty()) return {};
+    return circuits::metrics_from_transfer(freqs, h, evaluator.mask());
+}
+
 bool filter_chunk_matches_scalar(
     const circuits::FilterEvaluator& evaluator,
     const std::vector<circuits::FilterSizing>& sizings,
     circuits::OtaModelKind kind) {
     const auto chunk = evaluator.measure_chunk(sizings, kind);
     for (std::size_t i = 0; i < sizings.size(); ++i) {
-        const auto scalar = evaluator.measure(sizings[i], kind);
-        if (scalar.valid != chunk[i].valid) return false;
-        if (!scalar.valid) continue;
-        if (!bits_equal(scalar.fc, chunk[i].fc) ||
-            !bits_equal(scalar.worst_passband_dev_db,
+        const auto rebuilt = rebuild_filter(evaluator, sizings[i], kind);
+        if (rebuilt.valid != chunk[i].valid) return false;
+        if (!rebuilt.valid) continue;
+        if (!bits_equal(rebuilt.fc, chunk[i].fc) ||
+            !bits_equal(rebuilt.worst_passband_dev_db,
                         chunk[i].worst_passband_dev_db))
             return false;
     }
@@ -181,17 +228,17 @@ BENCHMARK(BM_CircuitConstruction)->Unit(benchmark::kMicrosecond);
 // ------------------------------------------------ chunk kernel comparison
 //
 // The headline pair: the same chunk of random sizings measured by
-// rebuilding the full testbench per point (the scalar OtaEvaluator::measure
-// path) vs through one shared CircuitPrototype (measure_chunk). Identical
-// work, bit-identical objective vectors; `points_per_second` is the
-// throughput to compare.
+// rebuilding the full testbench per point (build_ota_testbench + DcSolver +
+// run_ac, no prototype) vs through one shared CircuitPrototype
+// (measure_chunk). Identical work, bit-identical objective vectors;
+// `points_per_second` is the throughput to compare.
 
 void BM_OtaChunkRebuildPerPoint(benchmark::State& state) {
     const circuits::OtaEvaluator evaluator;
     const auto sizings = sizing_chunk(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         for (const auto& s : sizings) {
-            auto perf = evaluator.measure(s);
+            auto perf = rebuild_ota(evaluator.config(), s);
             benchmark::DoNotOptimize(perf);
         }
     }
@@ -211,7 +258,7 @@ void BM_OtaChunkPrototypeReuse(benchmark::State& state) {
     const circuits::OtaEvaluator evaluator;
     const auto sizings = sizing_chunk(static_cast<std::size_t>(state.range(0)));
     if (!chunk_matches_scalar(evaluator, sizings)) {
-        state.SkipWithError("prototype-reuse results diverge from scalar path");
+        state.SkipWithError("prototype-reuse results diverge from rebuild path");
         return;
     }
     for (auto _ : state) {
@@ -269,7 +316,8 @@ void BM_FilterChunkRebuildPerPoint(benchmark::State& state) {
         filter_sizing_chunk(static_cast<std::size_t>(state.range(0)));
     for (auto _ : state) {
         for (const auto& s : sizings) {
-            auto perf = evaluator.measure(s, circuits::OtaModelKind::behavioural);
+            auto perf = rebuild_filter(evaluator, s,
+                                       circuits::OtaModelKind::behavioural);
             benchmark::DoNotOptimize(perf);
         }
     }
@@ -287,7 +335,7 @@ void BM_FilterChunkPrototypeReuse(benchmark::State& state) {
         filter_sizing_chunk(static_cast<std::size_t>(state.range(0)));
     if (!filter_chunk_matches_scalar(evaluator, sizings,
                                      circuits::OtaModelKind::behavioural)) {
-        state.SkipWithError("prototype-reuse results diverge from scalar path");
+        state.SkipWithError("prototype-reuse results diverge from rebuild path");
         return;
     }
     for (auto _ : state) {

@@ -4,7 +4,6 @@
 
 #include "mc/monte_carlo.hpp"
 #include "spice/analysis/ac.hpp"
-#include "spice/analysis/dc.hpp"
 #include "spice/devices/capacitor.hpp"
 #include "spice/devices/resistor.hpp"
 #include "spice/devices/sources.hpp"
@@ -14,6 +13,14 @@ namespace ypm::circuits {
 
 using spice::Circuit;
 using spice::NodeId;
+
+namespace {
+
+std::uint64_t pool_key(OtaModelKind kind) {
+    return static_cast<std::uint64_t>(kind);
+}
+
+} // namespace
 
 FilterSizing FilterSizing::from_vector(const std::vector<double>& v) {
     if (v.size() != parameter_count)
@@ -72,37 +79,11 @@ Circuit build_filter(const FilterSizing& s, const FilterConfig& cfg,
     return ckt;
 }
 
-FilterEvaluator::FilterEvaluator(FilterConfig config, FilterSpecMask mask)
-    : config_(config), mask_(mask), pool_(make_pool()) {}
-
-FilterEvaluator::FilterEvaluator(const FilterEvaluator& other)
-    : config_(other.config_), mask_(other.mask_), pool_(make_pool()) {}
-
-FilterEvaluator& FilterEvaluator::operator=(const FilterEvaluator& other) {
-    if (this != &other) {
-        config_ = other.config_;
-        mask_ = other.mask_;
-        pool_ = make_pool();
-    }
-    return *this;
-}
-
-std::shared_ptr<spice::PrototypePool<FilterPrototype>>
-FilterEvaluator::make_pool() const {
-    // Keyed by OtaModelKind: the behavioural and transistor testbenches are
-    // structurally different circuits, so they pool separately.
-    return std::make_shared<spice::PrototypePool<FilterPrototype>>(
-        [this](std::uint64_t key) {
-            return std::make_unique<FilterPrototype>(
-                *this, static_cast<OtaModelKind>(key));
-        });
-}
-
-FilterPerformance FilterEvaluator::metrics_from_transfer(
-    const std::vector<double>& freqs,
-    const std::vector<std::complex<double>>& h) const {
+FilterPerformance metrics_from_transfer(const std::vector<double>& freqs,
+                                        const std::vector<std::complex<double>>& h,
+                                        const FilterSpecMask& mask) {
     FilterPerformance perf;
-    const auto lp = spice::lowpass_metrics(freqs, h, mask_.f_stop);
+    const auto lp = spice::lowpass_metrics(freqs, h, mask.f_stop);
     perf.passband_gain_db = lp.passband_gain_db;
     perf.fc = lp.fc;
     perf.stopband_atten_db = lp.stopband_atten_db;
@@ -110,7 +91,7 @@ FilterPerformance FilterEvaluator::metrics_from_transfer(
     // Worst deviation from the passband gain below f_pass.
     const auto mag = spice::magnitude_db(h);
     double worst = 0.0;
-    for (std::size_t i = 0; i < freqs.size() && freqs[i] <= mask_.f_pass; ++i)
+    for (std::size_t i = 0; i < freqs.size() && freqs[i] <= mask.f_pass; ++i)
         worst = std::max(worst, std::fabs(mag[i] - perf.passband_gain_db));
     perf.worst_passband_dev_db = worst;
 
@@ -118,50 +99,47 @@ FilterPerformance FilterEvaluator::metrics_from_transfer(
     return perf;
 }
 
-FilterPerformance FilterEvaluator::measure_circuit(Circuit& ckt) const {
-    FilterPerformance perf;
-
-    const spice::DcSolver solver;
-    const spice::DcResult op = solver.solve(ckt);
-    if (!op.converged) {
-        perf.failure = "dc operating point did not converge";
-        return perf;
-    }
-
-    const auto freqs =
-        spice::log_sweep(config_.f_start, config_.f_stop, config_.points_per_decade);
-    spice::AcResult ac;
-    try {
-        ac = spice::run_ac(ckt, op.solution, freqs);
-    } catch (const NumericalError& e) {
-        perf.failure = std::string("ac analysis failed: ") + e.what();
-        return perf;
-    }
-
-    const auto h = ac.transfer(*ckt.find_node("vout"), *ckt.find_node("vin"));
-    return metrics_from_transfer(freqs, h);
-}
-
-FilterPrototype::FilterPrototype(const FilterEvaluator& evaluator,
-                                 OtaModelKind kind)
-    : evaluator_(&evaluator),
-      proto_(build_filter(FilterSizing{}, evaluator.config(), kind)),
-      inst_(proto_.instance()),
+FilterPrototype::FilterPrototype(const FilterConfig& config,
+                                 const FilterSpecMask& mask, OtaModelKind kind)
+    : mask_(mask), ota_spec_(config.ota_spec),
+      proto_(build_filter(FilterSizing{}, config, kind)), inst_(proto_.instance()),
       c1_(&proto_.device<spice::Capacitor>("c1")),
       c2_(&proto_.device<spice::Capacitor>("c2")),
       c3_(&proto_.device<spice::Capacitor>("c3")),
+      ota1_(kind == OtaModelKind::behavioural
+                ? &proto_.device<va::BehaviouralOta>("ota1")
+                : nullptr),
+      ota2_(kind == OtaModelKind::behavioural
+                ? &proto_.device<va::BehaviouralOta>("ota2")
+                : nullptr),
       vout_(proto_.node("vout")), vin_(proto_.node("vin")),
-      freqs_(spice::log_sweep(evaluator.config().f_start,
-                              evaluator.config().f_stop,
-                              evaluator.config().points_per_decade)) {}
+      freqs_(spice::log_sweep(config.f_start, config.f_stop,
+                              config.points_per_decade)) {}
 
-FilterPerformance FilterPrototype::measure(const FilterSizing& sizing) {
+spice::DcResult FilterPrototype::solve(const FilterSizing& sizing,
+                                       const va::BehaviouralOtaSpec* ota1,
+                                       const va::BehaviouralOtaSpec* ota2,
+                                       const process::Realization* real) {
+    if (ota1_ != nullptr) {
+        ota1_->set_spec(ota1 != nullptr ? *ota1 : ota_spec_);
+        ota2_->set_spec(ota2 != nullptr ? *ota2 : ota_spec_);
+    } else if (ota1 != nullptr || ota2 != nullptr) {
+        throw InvalidInputError(
+            "FilterPrototype: macromodel specs need the behavioural kind");
+    }
     c1_->set_capacitance(sizing.c1);
     c2_->set_capacitance(sizing.c2);
     c3_->set_capacitance(sizing.c3);
+    inst_.bind_process(real);
+    return inst_.solve_op();
+}
 
+FilterPerformance FilterPrototype::measure(const FilterSizing& sizing,
+                                           const va::BehaviouralOtaSpec* ota1,
+                                           const va::BehaviouralOtaSpec* ota2,
+                                           const process::Realization* real) {
     FilterPerformance perf;
-    const spice::DcResult op = inst_.solve_op();
+    const spice::DcResult op = solve(sizing, ota1, ota2, real);
     if (!op.converged) {
         perf.failure = "dc operating point did not converge";
         return perf;
@@ -174,13 +152,32 @@ FilterPerformance FilterPrototype::measure(const FilterSizing& sizing) {
         perf.failure = std::string("ac analysis failed: ") + e.what();
         return perf;
     }
-    return evaluator_->metrics_from_transfer(freqs_, h);
+    return metrics_from_transfer(freqs_, h, mask_);
 }
+
+std::vector<std::complex<double>>
+FilterPrototype::transfer(const FilterSizing& sizing) {
+    const spice::DcResult op = solve(sizing, nullptr, nullptr, nullptr);
+    if (!op.converged)
+        throw NumericalError("FilterPrototype: DC operating point did not converge");
+    return inst_.ac_transfer(op.solution, freqs_, vout_, vin_);
+}
+
+FilterEvaluator::FilterEvaluator(FilterConfig config, FilterSpecMask mask)
+    : config_(config), mask_(mask),
+      // Keyed by OtaModelKind: the behavioural and transistor testbenches
+      // are structurally different circuits, so they pool separately. The
+      // factory captures values, so copies can share the pool.
+      pool_(std::make_shared<spice::PrototypePool<FilterPrototype>>(
+          [config, mask](std::uint64_t key) {
+              return std::make_unique<FilterPrototype>(
+                  config, mask, static_cast<OtaModelKind>(key));
+          })) {}
 
 std::vector<FilterPerformance>
 FilterEvaluator::measure_chunk(std::span<const FilterSizing> sizings,
                                OtaModelKind kind) const {
-    const auto proto = pool_->acquire(static_cast<std::uint64_t>(kind));
+    const auto proto = pool_->acquire(pool_key(kind));
     std::vector<FilterPerformance> out;
     out.reserve(sizings.size());
     for (const FilterSizing& s : sizings) out.push_back(proto->measure(s));
@@ -189,38 +186,30 @@ FilterEvaluator::measure_chunk(std::span<const FilterSizing> sizings,
 
 FilterPerformance FilterEvaluator::measure(const FilterSizing& sizing,
                                            OtaModelKind kind) const {
-    Circuit ckt = build_filter(sizing, config_, kind);
-    return measure_circuit(ckt);
+    return pool_->acquire(pool_key(kind))->measure(sizing);
 }
 
 FilterPerformance
 FilterEvaluator::measure_behavioural(const FilterSizing& sizing,
                                      const va::BehaviouralOtaSpec& ota1,
                                      const va::BehaviouralOtaSpec& ota2) const {
-    Circuit ckt = build_filter(sizing, config_, OtaModelKind::behavioural);
-    dynamic_cast<va::BehaviouralOta*>(ckt.find_device("ota1"))->set_spec(ota1);
-    dynamic_cast<va::BehaviouralOta*>(ckt.find_device("ota2"))->set_spec(ota2);
-    return measure_circuit(ckt);
+    return pool_->acquire(pool_key(OtaModelKind::behavioural))
+        ->measure(sizing, &ota1, &ota2);
 }
 
 FilterPerformance
 FilterEvaluator::measure_transistor(const FilterSizing& sizing,
                                     const process::Realization& realization) const {
-    Circuit ckt = build_filter(sizing, config_, OtaModelKind::transistor);
-    ckt.apply_process(realization);
-    return measure_circuit(ckt);
+    return pool_->acquire(pool_key(OtaModelKind::transistor))
+        ->measure(sizing, nullptr, nullptr, &realization);
 }
 
 FilterEvaluator::Response
 FilterEvaluator::ac_response(const FilterSizing& sizing, OtaModelKind kind) const {
-    Circuit ckt = build_filter(sizing, config_, kind);
-    const spice::Solution op = spice::solve_op(ckt);
-    const auto freqs =
-        spice::log_sweep(config_.f_start, config_.f_stop, config_.points_per_decade);
-    const spice::AcResult ac = spice::run_ac(ckt, op, freqs);
+    const auto proto = pool_->acquire(pool_key(kind));
     Response r;
-    r.freqs = freqs;
-    r.h = ac.transfer(*ckt.find_node("vout"), *ckt.find_node("vin"));
+    r.h = proto->transfer(sizing);
+    r.freqs = proto->freqs();
     return r;
 }
 

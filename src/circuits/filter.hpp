@@ -101,60 +101,82 @@ struct FilterPerformance {
     [[nodiscard]] bool meets(const FilterSpecMask& mask) const;
 };
 
-class FilterEvaluator; // below
+/// Response metrics (cutoff, passband deviation, stopband attenuation)
+/// against the mask's frequencies, from a computed transfer function.
+[[nodiscard]] FilterPerformance
+metrics_from_transfer(const std::vector<double>& freqs,
+                      const std::vector<std::complex<double>>& h,
+                      const FilterSpecMask& mask);
 
-/// Prototype-backed filter measurement kernel: builds the filter once for a
-/// fixed OTA model kind and re-binds the designable capacitors per point,
-/// reusing the MNA factorisation workspaces across the chunk. Results are
-/// bit-identical to FilterEvaluator::measure on a fresh build. Stateful -
-/// one per thread.
+/// Warm filter testbench for one OTA model kind: built once, then every
+/// call re-binds the capacitors, the process (nullptr = nominal) and, for
+/// the behavioural kind, both macromodel specs (nullptr =
+/// FilterConfig::ota_spec), so a reused instance answers exactly like a
+/// fresh build. Stateful - one per thread; evaluators lease them from a
+/// spice::PrototypePool.
 class FilterPrototype {
 public:
-    FilterPrototype(const FilterEvaluator& evaluator, OtaModelKind kind);
+    FilterPrototype(const FilterConfig& config, const FilterSpecMask& mask,
+                    OtaModelKind kind);
 
     FilterPrototype(const FilterPrototype&) = delete;
     FilterPrototype& operator=(const FilterPrototype&) = delete;
 
-    /// Re-bind C1/C2/C3 and measure.
-    [[nodiscard]] FilterPerformance measure(const FilterSizing& sizing);
+    /// Measure against the mask; failures come back as !valid.
+    /// \throws ypm::InvalidInputError when specs are given to the
+    /// transistor kind.
+    [[nodiscard]] FilterPerformance
+    measure(const FilterSizing& sizing,
+            const va::BehaviouralOtaSpec* ota1 = nullptr,
+            const va::BehaviouralOtaSpec* ota2 = nullptr,
+            const process::Realization* realization = nullptr);
+
+    /// V(vout)/V(vin) over freqs() with nominal specs and process.
+    /// \throws ypm::NumericalError when the operating point or the AC
+    /// sweep fails.
+    [[nodiscard]] std::vector<std::complex<double>>
+    transfer(const FilterSizing& sizing);
+
+    [[nodiscard]] const std::vector<double>& freqs() const { return freqs_; }
 
 private:
-    const FilterEvaluator* evaluator_;
+    /// Re-bind every slot and solve the operating point.
+    [[nodiscard]] spice::DcResult
+    solve(const FilterSizing& sizing, const va::BehaviouralOtaSpec* ota1,
+          const va::BehaviouralOtaSpec* ota2,
+          const process::Realization* realization);
+
+    FilterSpecMask mask_;
+    va::BehaviouralOtaSpec ota_spec_; ///< nominal macromodel spec
     spice::CircuitPrototype proto_;
     spice::CircuitPrototype::Instance inst_;
     spice::Capacitor *c1_, *c2_, *c3_;
+    va::BehaviouralOta *ota1_, *ota2_; ///< nullptr for the transistor kind
     spice::NodeId vout_, vin_;
     std::vector<double> freqs_;
 };
 
+/// Measurement harness around the filter. Thread-safe: every entry point
+/// leases a warm FilterPrototype from a persistent spice::PrototypePool
+/// keyed by the OTA model kind. Copies share the pool. The fresh-build path
+/// (build_filter + DcSolver + run_ac) is the reference the tests hold these
+/// results to.
 class FilterEvaluator {
 public:
     FilterEvaluator(FilterConfig config, FilterSpecMask mask);
 
-    /// The prototype pool's factory captures `this`, so copies rebuild
-    /// their own pool instead of leasing prototypes bound to the source.
-    FilterEvaluator(const FilterEvaluator& other);
-    FilterEvaluator& operator=(const FilterEvaluator& other);
-
     [[nodiscard]] FilterPerformance measure(const FilterSizing& sizing,
                                             OtaModelKind kind) const;
 
-    /// Chunk kernel: evaluate a group of sizings through a leased warm
-    /// filter prototype (persistent spice::PrototypePool keyed by the OTA
-    /// model kind); element i is bit-identical to measure(sizings[i], kind).
+    /// Chunk kernel: evaluate a group of sizings through one leased
+    /// prototype; element i equals measure(sizings[i], kind).
     [[nodiscard]] std::vector<FilterPerformance>
     measure_chunk(std::span<const FilterSizing> sizings, OtaModelKind kind) const;
 
-    /// The persistent prototype pool behind measure_chunk.
+    /// The persistent prototype pool behind every entry point.
     [[nodiscard]] const spice::PrototypePool<FilterPrototype>& prototype_pool() const {
         return *pool_;
     }
-
-    /// Response metrics from a computed transfer function (shared by the
-    /// scalar and prototype paths so they stay bit-identical).
-    [[nodiscard]] FilterPerformance
-    metrics_from_transfer(const std::vector<double>& freqs,
-                          const std::vector<std::complex<double>>& h) const;
 
     /// Measure with explicit per-OTA macromodel specs (used by yield MC).
     [[nodiscard]] FilterPerformance
@@ -179,12 +201,9 @@ public:
     [[nodiscard]] const FilterSpecMask& mask() const { return mask_; }
 
 private:
-    [[nodiscard]] FilterPerformance measure_circuit(spice::Circuit& ckt) const;
-    [[nodiscard]] std::shared_ptr<spice::PrototypePool<FilterPrototype>>
-    make_pool() const;
-
     FilterConfig config_;
     FilterSpecMask mask_;
+    /// Shared so copies reuse the same warm instances (identical config).
     std::shared_ptr<spice::PrototypePool<FilterPrototype>> pool_;
 };
 

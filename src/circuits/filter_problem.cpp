@@ -13,8 +13,8 @@ std::vector<double> perf_row(const FilterPerformance& perf,
     return {fc_err, perf.worst_passband_dev_db};
 }
 
-/// Shared chunk implementation of both batch entry points (engine chunk
-/// kernel and FilterProblem::evaluate_batch).
+/// The one implementation behind the engine kernel and the problem's
+/// evaluate / evaluate_batch, so their rows cannot diverge.
 std::vector<std::vector<double>>
 measure_rows(const FilterEvaluator& evaluator,
              const std::vector<FilterSizing>& sizings, OtaModelKind kind) {
@@ -27,15 +27,6 @@ measure_rows(const FilterEvaluator& evaluator,
 }
 
 } // namespace
-
-eval::KernelFn filter_objectives_kernel(const FilterEvaluator& evaluator,
-                                        OtaModelKind kind) {
-    return [&evaluator, kind](const eval::EvalRequest& request) {
-        const FilterPerformance perf =
-            evaluator.measure(FilterSizing::from_vector(request.params), kind);
-        return perf_row(perf, evaluator.mask());
-    };
-}
 
 eval::BatchKernelFn
 filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
@@ -52,7 +43,6 @@ filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
 FilterProblem::FilterProblem(FilterConfig config, FilterSpecMask mask,
                              OtaModelKind kind)
     : evaluator_(config, mask), kind_(kind),
-      kernel_(filter_objectives_kernel(evaluator_, kind)),
       params_(FilterSizing::parameter_specs()),
       objectives_{{"fc_err_rel", moo::Direction::minimize},
                   {"passband_dev_db", moo::Direction::minimize}} {}
@@ -66,7 +56,7 @@ const std::vector<moo::ObjectiveSpec>& FilterProblem::objectives() const {
 }
 
 std::vector<double> FilterProblem::evaluate(const std::vector<double>& p) const {
-    return kernel_({p});
+    return measure_rows(evaluator_, {FilterSizing::from_vector(p)}, kind_).front();
 }
 
 std::vector<std::vector<double>>

@@ -9,17 +9,11 @@
 
 namespace ypm::circuits {
 
-/// Canonical filter objectives kernel: {fc_err_rel, passband_dev_db} at a
-/// capacitor point, NaNs when the response does not exist. The scalar twin
-/// of the chunk path below; consumers sharing an engine tag must measure
-/// through one of these so cached rows stay interchangeable.
-/// \param evaluator must outlive the returned kernel.
-[[nodiscard]] eval::KernelFn
-filter_objectives_kernel(const FilterEvaluator& evaluator, OtaModelKind kind);
-
-/// Chunk twin: measures a group of requests through one shared filter
-/// prototype (FilterEvaluator::measure_chunk). Element-wise bit-identical
-/// to the scalar kernel.
+/// Canonical filter objectives kernel: {fc_err_rel, passband_dev_db} per
+/// request, NaNs when the response does not exist, measured through one
+/// leased filter prototype per chunk (FilterEvaluator::measure_chunk).
+/// Consumers sharing an engine tag measure through it so cached rows stay
+/// interchangeable. \param evaluator must outlive the kernel.
 [[nodiscard]] eval::BatchKernelFn
 filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
                                OtaModelKind kind);
@@ -32,17 +26,13 @@ public:
     FilterProblem(FilterConfig config, FilterSpecMask mask,
                   OtaModelKind kind = OtaModelKind::behavioural);
 
-    // kernel_ captures evaluator_ by reference; a copy would dangle.
-    FilterProblem(const FilterProblem&) = delete;
-    FilterProblem& operator=(const FilterProblem&) = delete;
-
     [[nodiscard]] const std::vector<moo::ParameterSpec>& parameters() const override;
     [[nodiscard]] const std::vector<moo::ObjectiveSpec>& objectives() const override;
     [[nodiscard]] std::vector<double>
     evaluate(const std::vector<double>& params) const override;
 
-    /// Prototype-reuse batch path: one shared filter prototype per call,
-    /// element-wise bit-identical to the scalar evaluate().
+    /// One leased filter prototype per call; element i equals
+    /// evaluate(points[i]).
     [[nodiscard]] std::vector<std::vector<double>>
     evaluate_batch(const std::vector<std::vector<double>>& points) const override;
 
@@ -51,7 +41,6 @@ public:
 private:
     FilterEvaluator evaluator_;
     OtaModelKind kind_;
-    eval::KernelFn kernel_; ///< hoisted: built once, not per evaluate() call
     std::vector<moo::ParameterSpec> params_;
     std::vector<moo::ObjectiveSpec> objectives_;
 };

@@ -86,11 +86,10 @@ struct OtaPerformance {
     std::string failure; ///< populated when !valid
 };
 
-/// Prototype-backed OTA measurement kernel: builds the testbench once and
-/// re-binds sizing/process values per point, reusing the MNA factorisation
-/// workspaces across the whole chunk. Results are bit-identical to
-/// OtaEvaluator::measure on a fresh build. Stateful - one per thread; the
-/// measure_chunk entry points construct one per chunk.
+/// Warm OTA testbench: built once, then every call re-binds the sizing and
+/// the process (nullptr = nominal) before solving, so a reused instance
+/// answers exactly like a fresh build. Stateful - one per thread; evaluators
+/// lease them from a spice::PrototypePool.
 class OtaPrototype {
 public:
     explicit OtaPrototype(const OtaConfig& config);
@@ -98,13 +97,27 @@ public:
     OtaPrototype(const OtaPrototype&) = delete;
     OtaPrototype& operator=(const OtaPrototype&) = delete;
 
-    /// Re-bind and measure one point (nullptr realization = nominal).
+    /// Measure gain and phase margin; failures come back as !valid.
     [[nodiscard]] OtaPerformance
     measure(const OtaSizing& sizing,
             const process::Realization* realization = nullptr);
 
+    /// V(out)/V(inp) over freqs(). \throws ypm::NumericalError when the
+    /// operating point or the AC sweep fails.
+    [[nodiscard]] std::vector<std::complex<double>>
+    transfer(const OtaSizing& sizing, const process::Realization* realization);
+
+    /// Operating region of each transistor at the nominal OP.
+    /// \throws ypm::NumericalError when the operating point fails.
+    [[nodiscard]] std::vector<std::pair<std::string, spice::Mosfet::Region>>
+    regions(const OtaSizing& sizing);
+
+    [[nodiscard]] const std::vector<double>& freqs() const { return freqs_; }
+
 private:
-    void bind_sizing(const OtaSizing& sizing);
+    /// Re-bind every slot (sizing, process) and solve the operating point.
+    [[nodiscard]] spice::DcResult
+    solve(const OtaSizing& sizing, const process::Realization* realization);
 
     spice::CircuitPrototype proto_;
     spice::CircuitPrototype::Instance inst_;
@@ -113,12 +126,12 @@ private:
     std::vector<double> freqs_;
 };
 
-/// Measurement harness around the testbench (thread-safe: scalar calls
-/// build their own circuit; chunk entry points lease warm prototypes from a
-/// persistent spice::PrototypePool keyed by this evaluator's config, so the
-/// testbench structure is built once per concurrent kernel, not once per
-/// evaluate_batch call). Copies share the pool - they measure the same
-/// configuration, so warm instances are interchangeable.
+/// Measurement harness around the testbench. Thread-safe: every entry point
+/// leases a warm OtaPrototype from a persistent spice::PrototypePool, so the
+/// testbench is built once per concurrent caller. Copies share the pool -
+/// they measure the same configuration, so warm instances are
+/// interchangeable. The fresh-build path (build_ota_testbench + DcSolver +
+/// run_ac) is the reference the tests hold these results to.
 class OtaEvaluator {
 public:
     explicit OtaEvaluator(OtaConfig config = {});
@@ -130,9 +143,8 @@ public:
     [[nodiscard]] OtaPerformance
     measure(const OtaSizing& sizing, const process::Realization& realization) const;
 
-    /// Chunk kernels: evaluate a group of points through one shared
-    /// testbench prototype (see OtaPrototype). Element i of the result is
-    /// bit-identical to the corresponding scalar measure() call.
+    /// Chunk kernels: evaluate a group of points through one leased
+    /// prototype. Element i equals the corresponding measure() call.
     [[nodiscard]] std::vector<OtaPerformance>
     measure_chunk(std::span<const OtaSizing> sizings) const;
 
@@ -162,17 +174,13 @@ public:
 
     [[nodiscard]] const OtaConfig& config() const { return config_; }
 
-    /// The persistent prototype pool behind the chunk kernels (reuse
+    /// The persistent prototype pool behind every entry point (reuse
     /// diagnostics: created() stops growing once the pool is warm).
     [[nodiscard]] const spice::PrototypePool<OtaPrototype>& prototype_pool() const {
         return *pool_;
     }
 
 private:
-    [[nodiscard]] OtaPerformance
-    measure_impl(const OtaSizing& sizing,
-                 const process::Realization* realization) const;
-
     OtaConfig config_;
     /// Shared so copies reuse the same warm instances (identical config).
     std::shared_ptr<spice::PrototypePool<OtaPrototype>> pool_;

@@ -65,8 +65,7 @@ SensitivityReport compute_sensitivities(eval::Engine& engine,
         batch.add(std::move(hi));
     }
 
-    // Chunk kernel: the 17 probes share warm pooled prototypes; rows stay
-    // interchangeable with the scalar ota_objectives_kernel cache entries.
+    // Chunk kernel: the 17 probes share warm pooled prototypes.
     const auto evals = engine.evaluate(
         std::move(batch), circuits::ota_objectives_chunk_kernel(evaluator));
 

@@ -1,13 +1,17 @@
-// Unit tests for the prototype-reuse batch kernels: spice::CircuitPrototype
-// and the chunk measurement paths must be bit-identical to the per-point
-// rebuild paths - for OTA and filter, nominal and under process
-// realisations - safe to re-bind repeatedly, and thread-count invariant
-// when driven through the evaluation engine.
+// Unit tests for the prototype-backed measurement path: spice::CircuitPrototype
+// and every OTA/filter evaluator entry point (scalar and chunk) must be
+// bit-identical to a fresh build of the testbench solved by the generic
+// DcSolver + run_ac path - for OTA and filter, nominal and under process
+// realisations - safe to re-bind repeatedly, free of state carried between
+// callers of one warm lease, and thread-count invariant when driven through
+// the evaluation engine.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "circuits/filter_problem.hpp"
@@ -41,13 +45,134 @@ void expect_rows_identical(const std::vector<double>& a,
     }
 }
 
-void expect_perf_identical(const circuits::OtaPerformance& scalar,
-                           const circuits::OtaPerformance& chunk) {
-    ASSERT_EQ(scalar.valid, chunk.valid);
-    if (!scalar.valid) return;
-    EXPECT_TRUE(bits_equal(scalar.gain_db, chunk.gain_db));
-    EXPECT_TRUE(bits_equal(scalar.pm_deg, chunk.pm_deg));
-    EXPECT_TRUE(bits_equal(scalar.bode.unity_freq, chunk.bode.unity_freq));
+void expect_perf_identical(const circuits::OtaPerformance& reference,
+                           const circuits::OtaPerformance& actual) {
+    ASSERT_EQ(reference.valid, actual.valid);
+    if (!reference.valid) return;
+    EXPECT_TRUE(bits_equal(reference.gain_db, actual.gain_db));
+    EXPECT_TRUE(bits_equal(reference.pm_deg, actual.pm_deg));
+    EXPECT_TRUE(bits_equal(reference.bode.unity_freq, actual.bode.unity_freq));
+}
+
+void expect_h_identical(const std::vector<std::complex<double>>& reference,
+                        const std::vector<std::complex<double>>& actual) {
+    ASSERT_EQ(reference.size(), actual.size());
+    for (std::size_t i = 0; i < reference.size(); ++i) {
+        EXPECT_TRUE(bits_equal(reference[i].real(), actual[i].real())) << "freq " << i;
+        EXPECT_TRUE(bits_equal(reference[i].imag(), actual[i].imag())) << "freq " << i;
+    }
+}
+
+// ------------------------------------------------------- rebuild oracle
+//
+// The reference every prototype result is held to: a freshly built
+// circuit at the default OtaConfig / FilterConfig / FilterSpecMask, solved
+// by the generic DcSolver + run_ac path. Nothing here touches a
+// CircuitPrototype or an evaluator's pool.
+
+/// V(out)/V(in) of a fresh circuit; empty when DC or AC fails.
+std::vector<std::complex<double>> rebuild_transfer(spice::Circuit& ckt,
+                                                   const std::vector<double>& freqs,
+                                                   const std::string& out,
+                                                   const std::string& in) {
+    const spice::DcSolver solver;
+    const spice::DcResult op = solver.solve(ckt);
+    if (!op.converged) return {};
+    try {
+        const spice::AcResult ac = spice::run_ac(ckt, op.solution, freqs);
+        return ac.transfer(*ckt.find_node(out), *ckt.find_node(in));
+    } catch (const NumericalError&) {
+        return {};
+    }
+}
+
+std::vector<double> ota_freqs(const circuits::OtaConfig& cfg) {
+    return spice::log_sweep(cfg.f_start, cfg.f_stop, cfg.points_per_decade);
+}
+
+std::vector<std::complex<double>>
+rebuild_ota_transfer(const circuits::OtaSizing& sizing,
+                     const process::Realization* real) {
+    const circuits::OtaConfig cfg;
+    spice::Circuit ckt = circuits::build_ota_testbench(sizing, cfg);
+    if (real != nullptr) ckt.apply_process(*real);
+    return rebuild_transfer(ckt, ota_freqs(cfg), "out", "inp");
+}
+
+circuits::OtaPerformance rebuild_ota(const circuits::OtaSizing& sizing,
+                                     const process::Realization* real) {
+    circuits::OtaPerformance perf;
+    const auto h = rebuild_ota_transfer(sizing, real);
+    if (h.empty()) return perf;
+    perf.bode = spice::bode_metrics(ota_freqs(circuits::OtaConfig{}), h);
+    perf.gain_db = perf.bode.dc_gain_db;
+    perf.pm_deg = perf.bode.phase_margin_deg;
+    perf.valid = !std::isnan(perf.pm_deg) && perf.gain_db > 0.0;
+    return perf;
+}
+
+std::vector<double> ota_row(const circuits::OtaPerformance& perf) {
+    if (!perf.valid) return moo::failed_evaluation(2);
+    return {perf.gain_db, perf.pm_deg};
+}
+
+std::vector<double> filter_freqs(const circuits::FilterConfig& cfg) {
+    return spice::log_sweep(cfg.f_start, cfg.f_stop, cfg.points_per_decade);
+}
+
+std::vector<std::complex<double>>
+rebuild_filter_transfer(const circuits::FilterSizing& sizing,
+                        circuits::OtaModelKind kind,
+                        const va::BehaviouralOtaSpec* ota1 = nullptr,
+                        const va::BehaviouralOtaSpec* ota2 = nullptr,
+                        const process::Realization* real = nullptr) {
+    const circuits::FilterConfig cfg;
+    spice::Circuit ckt = circuits::build_filter(sizing, cfg, kind);
+    if (ota1 != nullptr)
+        dynamic_cast<va::BehaviouralOta&>(*ckt.find_device("ota1")).set_spec(*ota1);
+    if (ota2 != nullptr)
+        dynamic_cast<va::BehaviouralOta&>(*ckt.find_device("ota2")).set_spec(*ota2);
+    if (real != nullptr) ckt.apply_process(*real);
+    return rebuild_transfer(ckt, filter_freqs(cfg), "vout", "vin");
+}
+
+circuits::FilterPerformance
+rebuild_filter(const circuits::FilterSizing& sizing, circuits::OtaModelKind kind,
+               const va::BehaviouralOtaSpec* ota1 = nullptr,
+               const va::BehaviouralOtaSpec* ota2 = nullptr,
+               const process::Realization* real = nullptr) {
+    const auto h = rebuild_filter_transfer(sizing, kind, ota1, ota2, real);
+    if (h.empty()) return {};
+    return circuits::metrics_from_transfer(filter_freqs(circuits::FilterConfig{}), h,
+                                           circuits::FilterSpecMask{});
+}
+
+void expect_filter_identical(const circuits::FilterPerformance& reference,
+                             const circuits::FilterPerformance& actual) {
+    ASSERT_EQ(reference.valid, actual.valid);
+    if (!reference.valid) return;
+    EXPECT_TRUE(bits_equal(reference.fc, actual.fc));
+    EXPECT_TRUE(bits_equal(reference.passband_gain_db, actual.passband_gain_db));
+    EXPECT_TRUE(bits_equal(reference.stopband_atten_db, actual.stopband_atten_db));
+    EXPECT_TRUE(bits_equal(reference.worst_passband_dev_db,
+                           actual.worst_passband_dev_db));
+}
+
+std::vector<double> filter_row(const circuits::FilterPerformance& perf) {
+    const circuits::FilterSpecMask mask;
+    if (!perf.valid || std::isnan(perf.fc)) return moo::failed_evaluation(2);
+    return {std::fabs(perf.fc - mask.fc_target) / mask.fc_target,
+            perf.worst_passband_dev_db};
+}
+
+std::vector<circuits::FilterSizing> random_filter_sizings(std::size_t n,
+                                                          std::uint64_t seed) {
+    Rng rng(seed);
+    std::vector<circuits::FilterSizing> out;
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back({rng.uniform(2e-12, 60e-12), rng.uniform(2e-12, 60e-12),
+                       rng.uniform(2e-12, 60e-12)});
+    return out;
 }
 
 std::vector<circuits::OtaSizing> random_sizings(std::size_t n, std::uint64_t seed) {
@@ -107,9 +232,10 @@ TEST(OtaChunk, BitIdenticalToScalarAcrossRandomSizings) {
     ASSERT_EQ(chunk.size(), sizings.size());
     std::size_t valid = 0;
     for (std::size_t i = 0; i < sizings.size(); ++i) {
-        const auto scalar = evaluator.measure(sizings[i]);
-        expect_perf_identical(scalar, chunk[i]);
-        if (scalar.valid) ++valid;
+        const auto reference = rebuild_ota(sizings[i], nullptr);
+        expect_perf_identical(reference, chunk[i]);
+        expect_perf_identical(reference, evaluator.measure(sizings[i]));
+        if (reference.valid) ++valid;
     }
     // The box sampling must exercise the real path, not just failures.
     EXPECT_GT(valid, 0u);
@@ -130,8 +256,9 @@ TEST(OtaChunk, BitIdenticalUnderProcessRealizations) {
     const auto chunk = evaluator.measure_chunk(sizing, reals);
     ASSERT_EQ(chunk.size(), reals.size());
     for (std::size_t i = 0; i < reals.size(); ++i) {
-        const auto scalar = evaluator.measure(sizing, reals[i]);
-        expect_perf_identical(scalar, chunk[i]);
+        const auto reference = rebuild_ota(sizing, &reals[i]);
+        expect_perf_identical(reference, chunk[i]);
+        expect_perf_identical(reference, evaluator.measure(sizing, reals[i]));
     }
 }
 
@@ -147,8 +274,11 @@ TEST(OtaChunk, PairedSizingsAndRealizations) {
         reals.push_back(sampler.sample(rng, ckt.mos_geometries()));
     }
     const auto chunk = evaluator.measure_chunk(sizings, reals);
-    for (std::size_t i = 0; i < sizings.size(); ++i)
-        expect_perf_identical(evaluator.measure(sizings[i], reals[i]), chunk[i]);
+    for (std::size_t i = 0; i < sizings.size(); ++i) {
+        const auto reference = rebuild_ota(sizings[i], &reals[i]);
+        expect_perf_identical(reference, chunk[i]);
+        expect_perf_identical(reference, evaluator.measure(sizings[i], reals[i]));
+    }
 }
 
 TEST(OtaChunk, PairedChunkRejectsMismatchedSizes) {
@@ -170,8 +300,8 @@ TEST(OtaChunk, PrototypeSafeToRebindRepeatedly) {
     expect_perf_identical(chunk[0], chunk[2]);
     expect_perf_identical(chunk[0], chunk[4]);
     expect_perf_identical(chunk[1], chunk[3]);
-    expect_perf_identical(evaluator.measure(ab[0]), chunk[0]);
-    expect_perf_identical(evaluator.measure(ab[1]), chunk[1]);
+    expect_perf_identical(rebuild_ota(ab[0], nullptr), chunk[0]);
+    expect_perf_identical(rebuild_ota(ab[1], nullptr), chunk[1]);
 }
 
 // ---------------------------------------------------------- prototype pool
@@ -199,9 +329,9 @@ TEST(PrototypePool, WarmInstanceBitIdenticalToCold) {
     ASSERT_EQ(warm_rows.size(), fresh_rows.size());
     for (std::size_t i = 0; i < warm_rows.size(); ++i)
         expect_perf_identical(fresh_rows[i], warm_rows[i]);
-    // ... and the scalar rebuild path agrees too.
+    // ... and the fresh-build oracle agrees too.
     for (std::size_t i = 0; i < warm_rows.size(); ++i)
-        expect_perf_identical(evaluator.measure(second[i]), warm_rows[i]);
+        expect_perf_identical(rebuild_ota(second[i], nullptr), warm_rows[i]);
     (void)cold_rows;
 }
 
@@ -229,20 +359,16 @@ TEST(PrototypePool, WarmReuseAcrossMixedChunkEntryPoints) {
     EXPECT_EQ(evaluator.prototype_pool().created(), created);
 
     // Re-binding through the warm instance leaks no process state: the
-    // nominal chunk after process-bound chunks equals the scalar path.
+    // nominal chunk after process-bound chunks equals a fresh build.
     const auto after = evaluator.measure_chunk(sizings);
     for (std::size_t i = 0; i < sizings.size(); ++i)
-        expect_perf_identical(evaluator.measure(sizings[i]), after[i]);
+        expect_perf_identical(rebuild_ota(sizings[i], nullptr), after[i]);
 }
 
 TEST(PrototypePool, FilterPoolKeyedByModelKind) {
     const circuits::FilterEvaluator evaluator{circuits::FilterConfig{},
                                               circuits::FilterSpecMask{}};
-    Rng rng(53);
-    std::vector<circuits::FilterSizing> sizings;
-    for (int i = 0; i < 4; ++i)
-        sizings.push_back({rng.uniform(2e-12, 60e-12), rng.uniform(2e-12, 60e-12),
-                           rng.uniform(2e-12, 60e-12)});
+    const auto sizings = random_filter_sizings(4, 53);
 
     // The behavioural and transistor testbenches are structurally different
     // circuits, so each kind builds (and then reuses) its own prototype.
@@ -255,28 +381,140 @@ TEST(PrototypePool, FilterPoolKeyedByModelKind) {
     EXPECT_EQ(evaluator.prototype_pool().created(), 2u);
     EXPECT_EQ(evaluator.prototype_pool().idle(), 2u);
 
-    // Warm reuse stays bit-identical to the scalar path for both kinds.
+    // Warm reuse stays bit-identical to a fresh build for both kinds.
     for (auto kind : {circuits::OtaModelKind::behavioural,
                       circuits::OtaModelKind::transistor}) {
         const auto warm = evaluator.measure_chunk(sizings, kind);
         for (std::size_t i = 0; i < sizings.size(); ++i) {
-            const auto scalar = evaluator.measure(sizings[i], kind);
-            ASSERT_EQ(scalar.valid, warm[i].valid);
-            if (!scalar.valid) continue;
-            EXPECT_TRUE(bits_equal(scalar.fc, warm[i].fc));
-            EXPECT_TRUE(bits_equal(scalar.worst_passband_dev_db,
+            const auto reference = rebuild_filter(sizings[i], kind);
+            ASSERT_EQ(reference.valid, warm[i].valid);
+            if (!reference.valid) continue;
+            EXPECT_TRUE(bits_equal(reference.fc, warm[i].fc));
+            EXPECT_TRUE(bits_equal(reference.worst_passband_dev_db,
                                    warm[i].worst_passband_dev_db));
         }
     }
 }
 
 TEST(PrototypePool, CopiedEvaluatorSharesWarmPool) {
-    const circuits::OtaEvaluator original;
-    (void)original.measure_chunk(random_sizings(2, 59));
-    const std::size_t created = original.prototype_pool().created();
-    const circuits::OtaEvaluator copy = original; // same config -> shares pool
-    (void)copy.measure_chunk(random_sizings(2, 61));
-    EXPECT_EQ(original.prototype_pool().created(), created);
+    // Copies (constructed and assigned) measure the same configuration, so
+    // they lease from the original's warm pool instead of building anew.
+    const auto shares_pool = [](const auto& original, const auto& measure) {
+        measure(original, 0);
+        const std::size_t created = original.prototype_pool().created();
+        const auto copy = original;
+        measure(copy, 1);
+        EXPECT_EQ(original.prototype_pool().created(), created);
+        EXPECT_EQ(&copy.prototype_pool(), &original.prototype_pool());
+        auto assigned = original;
+        assigned = copy;
+        measure(assigned, 2);
+        EXPECT_EQ(original.prototype_pool().created(), created);
+    };
+    shares_pool(circuits::OtaEvaluator{},
+                [](const circuits::OtaEvaluator& ev, std::uint64_t k) {
+                    (void)ev.measure_chunk(random_sizings(2, 59 + 2 * k));
+                });
+    shares_pool(circuits::FilterEvaluator{circuits::FilterConfig{},
+                                          circuits::FilterSpecMask{}},
+                [](const circuits::FilterEvaluator& ev, std::uint64_t k) {
+                    (void)ev.measure_chunk(random_filter_sizings(2, 59 + 2 * k),
+                                           circuits::OtaModelKind::behavioural);
+                });
+}
+
+TEST(PrototypePool, LeaseCarriesNoStateBetweenCallers) {
+    // Every entry point leases from one pool, so a warm instance goes from
+    // a caller that bound perturbed specs or a process realisation straight
+    // to a nominal caller. Each call must re-bind every slot: the nominal
+    // call on the same warm lease matches a fresh build bit-for-bit.
+    using circuits::OtaModelKind;
+    const circuits::FilterEvaluator filter{circuits::FilterConfig{},
+                                           circuits::FilterSpecMask{}};
+    const circuits::FilterSizing fsizing;
+    const auto f_nominal = rebuild_filter(fsizing, OtaModelKind::behavioural);
+    ASSERT_TRUE(f_nominal.valid);
+
+    // Behavioural kind: perturbed macromodel specs, then nominal.
+    va::BehaviouralOtaSpec slow = filter.config().ota_spec;
+    slow.gain_db -= 6.0;
+    slow.f3db *= 0.5;
+    va::BehaviouralOtaSpec weak = filter.config().ota_spec;
+    weak.gain_db -= 20.0;
+    const auto perturbed = filter.measure_behavioural(fsizing, slow, weak);
+    expect_filter_identical(
+        rebuild_filter(fsizing, OtaModelKind::behavioural, &slow, &weak),
+        perturbed);
+    ASSERT_TRUE(perturbed.valid);
+    EXPECT_FALSE(bits_equal(perturbed.passband_gain_db, f_nominal.passband_gain_db));
+    expect_filter_identical(f_nominal,
+                            filter.measure(fsizing, OtaModelKind::behavioural));
+    EXPECT_EQ(filter.prototype_pool().created(), 1u);
+
+    // The AC response on the same warm lease is the fresh run_ac transfer.
+    const auto f_resp = filter.ac_response(fsizing, OtaModelKind::behavioural);
+    EXPECT_EQ(f_resp.freqs, filter_freqs(filter.config()));
+    expect_h_identical(rebuild_filter_transfer(fsizing, OtaModelKind::behavioural),
+                       f_resp.h);
+
+    // Transistor kind: a process realisation, then nominal.
+    const process::ProcessSampler sampler(filter.config().ota_config.card,
+                                          process::VariationSpec::c35());
+    Rng rng(71);
+    const process::Realization real = sampler.sample(
+        rng, circuits::build_filter(fsizing, filter.config(), OtaModelKind::transistor)
+                 .mos_geometries());
+    const auto t_nominal = rebuild_filter(fsizing, OtaModelKind::transistor);
+    const auto varied = filter.measure_transistor(fsizing, real);
+    expect_filter_identical(
+        rebuild_filter(fsizing, OtaModelKind::transistor, nullptr, nullptr, &real),
+        varied);
+    expect_filter_identical(t_nominal,
+                            filter.measure(fsizing, OtaModelKind::transistor));
+    expect_h_identical(rebuild_filter_transfer(fsizing, OtaModelKind::transistor),
+                       filter.ac_response(fsizing, OtaModelKind::transistor).h);
+    EXPECT_EQ(filter.prototype_pool().created(), 2u);
+
+    // OTA: a realisation, then nominal measure, ac_response and op_regions.
+    const circuits::OtaEvaluator ota;
+    const circuits::OtaSizing osizing;
+    spice::Circuit tb = circuits::build_ota_testbench(osizing, ota.config());
+    const process::ProcessSampler ota_sampler(ota.config().card,
+                                              process::VariationSpec::c35());
+    const process::Realization ota_real = ota_sampler.sample(rng, tb.mos_geometries());
+    const auto o_varied = ota.measure(osizing, ota_real);
+    expect_perf_identical(rebuild_ota(osizing, &ota_real), o_varied);
+    const auto o_nominal = rebuild_ota(osizing, nullptr);
+    ASSERT_TRUE(o_nominal.valid);
+    EXPECT_FALSE(bits_equal(o_varied.gain_db, o_nominal.gain_db));
+    expect_perf_identical(o_nominal, ota.measure(osizing));
+
+    (void)ota.measure(osizing, ota_real);
+    const auto o_resp = ota.ac_response(osizing);
+    EXPECT_EQ(o_resp.freqs, ota_freqs(ota.config()));
+    expect_h_identical(rebuild_ota_transfer(osizing, nullptr), o_resp.h);
+    expect_h_identical(rebuild_ota_transfer(osizing, &ota_real),
+                       ota.ac_response(osizing, &ota_real).h);
+
+    (void)ota.measure(osizing, ota_real);
+    const spice::DcSolver solver;
+    const auto op = solver.solve(tb);
+    ASSERT_TRUE(op.converged);
+    std::vector<std::pair<std::string, spice::Mosfet::Region>> regions;
+    for (const auto& dev : tb.devices())
+        if (const auto* mos = dynamic_cast<const spice::Mosfet*>(dev.get()))
+            regions.emplace_back(mos->name(), mos->op_info(op.solution).region);
+    EXPECT_EQ(ota.op_regions(osizing), regions);
+    EXPECT_EQ(ota.prototype_pool().created(), 1u);
+}
+
+TEST(PrototypePool, FilterSpecsNeedBehaviouralKind) {
+    circuits::FilterPrototype proto(circuits::FilterConfig{},
+                                    circuits::FilterSpecMask{},
+                                    circuits::OtaModelKind::transistor);
+    const va::BehaviouralOtaSpec spec;
+    EXPECT_THROW((void)proto.measure(circuits::FilterSizing{}, &spec, &spec),
+                 InvalidInputError);
 }
 
 // ----------------------------------------------------------- filter chunks
@@ -284,26 +522,15 @@ TEST(PrototypePool, CopiedEvaluatorSharesWarmPool) {
 TEST(FilterChunk, BitIdenticalToScalarBothKinds) {
     const circuits::FilterEvaluator evaluator{circuits::FilterConfig{},
                                               circuits::FilterSpecMask{}};
-    Rng rng(23);
-    std::vector<circuits::FilterSizing> sizings;
-    for (int i = 0; i < 6; ++i)
-        sizings.push_back({rng.uniform(2e-12, 60e-12), rng.uniform(2e-12, 60e-12),
-                           rng.uniform(2e-12, 60e-12)});
+    const auto sizings = random_filter_sizings(6, 23);
     for (auto kind : {circuits::OtaModelKind::behavioural,
                       circuits::OtaModelKind::transistor}) {
         const auto chunk = evaluator.measure_chunk(sizings, kind);
         ASSERT_EQ(chunk.size(), sizings.size());
         for (std::size_t i = 0; i < sizings.size(); ++i) {
-            const auto scalar = evaluator.measure(sizings[i], kind);
-            ASSERT_EQ(scalar.valid, chunk[i].valid);
-            if (!scalar.valid) continue;
-            EXPECT_TRUE(bits_equal(scalar.fc, chunk[i].fc));
-            EXPECT_TRUE(bits_equal(scalar.passband_gain_db,
-                                   chunk[i].passband_gain_db));
-            EXPECT_TRUE(bits_equal(scalar.stopband_atten_db,
-                                   chunk[i].stopband_atten_db));
-            EXPECT_TRUE(bits_equal(scalar.worst_passband_dev_db,
-                                   chunk[i].worst_passband_dev_db));
+            const auto reference = rebuild_filter(sizings[i], kind);
+            expect_filter_identical(reference, chunk[i]);
+            expect_filter_identical(reference, evaluator.measure(sizings[i], kind));
         }
     }
 }
@@ -317,21 +544,26 @@ TEST(ProblemBatch, OtaEvaluateBatchMatchesScalar) {
     for (const auto& s : sizings) points.push_back(s.to_vector());
     const auto batch = problem.evaluate_batch(points);
     ASSERT_EQ(batch.size(), points.size());
-    for (std::size_t i = 0; i < points.size(); ++i)
-        expect_rows_identical(problem.evaluate(points[i]), batch[i]);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto reference = ota_row(rebuild_ota(sizings[i], nullptr));
+        expect_rows_identical(reference, batch[i]);
+        expect_rows_identical(reference, problem.evaluate(points[i]));
+    }
 }
 
 TEST(ProblemBatch, FilterEvaluateBatchMatchesScalar) {
     const circuits::FilterProblem problem{circuits::FilterConfig{},
                                           circuits::FilterSpecMask{}};
-    Rng rng(37);
+    const auto sizings = random_filter_sizings(6, 37);
     std::vector<std::vector<double>> points;
-    for (int i = 0; i < 6; ++i)
-        points.push_back({rng.uniform(2e-12, 60e-12), rng.uniform(2e-12, 60e-12),
-                          rng.uniform(2e-12, 60e-12)});
+    for (const auto& s : sizings) points.push_back(s.to_vector());
     const auto batch = problem.evaluate_batch(points);
-    for (std::size_t i = 0; i < points.size(); ++i)
-        expect_rows_identical(problem.evaluate(points[i]), batch[i]);
+    for (std::size_t i = 0; i < points.size(); ++i) {
+        const auto reference = filter_row(
+            rebuild_filter(sizings[i], circuits::OtaModelKind::behavioural));
+        expect_rows_identical(reference, batch[i]);
+        expect_rows_identical(reference, problem.evaluate(points[i]));
+    }
 }
 
 TEST(ProblemBatch, EngineEvaluationThreadCountInvariant) {
@@ -354,14 +586,15 @@ TEST(ProblemBatch, EngineEvaluationThreadCountInvariant) {
         for (std::size_t i = 0; i < runs[0].size(); ++i)
             expect_rows_identical(runs[0][i].values, runs[t][i].values);
     }
-    // And the engine path must agree with the scalar problem path.
+    // And the engine path must agree with a fresh build.
     for (std::size_t i = 0; i < points.size(); ++i)
-        expect_rows_identical(problem.evaluate(points[i]), runs[0][i].values);
+        expect_rows_identical(ota_row(rebuild_ota(sizings[i], nullptr)),
+                              runs[0][i].values);
 }
 
 TEST(ProblemBatch, OtaMonteCarloChunkMatchesScalarStreams) {
-    // The chunked MC path (prototype reuse) must reproduce the scalar
-    // SampleFn path sample-for-sample: same child streams, same rows.
+    // The chunked MC path (prototype reuse) must reproduce a SampleFn that
+    // rebuilds the testbench per sample: same child streams, same rows.
     const circuits::OtaEvaluator evaluator;
     const circuits::OtaSizing sizing;
     const process::ProcessSampler sampler(evaluator.config().card,
@@ -377,9 +610,7 @@ TEST(ProblemBatch, OtaMonteCarloChunkMatchesScalarStreams) {
     const auto scalar = mc::run_monte_carlo(
         cfg, r_scalar, [&](std::size_t, Rng& sample_rng) -> std::vector<double> {
             const auto real = sampler.sample(sample_rng, geometries);
-            const auto perf = evaluator.measure(sizing, real);
-            if (!perf.valid) return moo::failed_evaluation(2);
-            return {perf.gain_db, perf.pm_deg};
+            return ota_row(rebuild_ota(sizing, &real));
         });
 
     eval::Engine engine;
