@@ -1,0 +1,70 @@
+#pragma once
+/// \file hessenberg.hpp
+/// \brief Frequency response of a real pencil through one Hessenberg
+///        reduction (Laub, "Efficient multivariable frequency response
+///        computations", IEEE TAC 1981).
+///
+/// An AC sweep solves (K + sC) x = b at many s = j*omega with K and C real
+/// and fixed by the operating point. A dense complex LU per frequency costs
+/// O(n^3) each. With a real shift s0,
+///
+///     K + sC = A0 (I + (s - s0) M),   A0 = K + s0*C,   M = A0^-1 C,
+///
+/// and a Householder reduction M = Q H Q^T (H upper Hessenberg, Q
+/// orthogonal) turns every frequency into one Hessenberg solve:
+///
+///     x(s) = Q w,   (I + (s - s0) H) w = z,   z = Q^T A0^-1 b.
+///
+/// The reduction is O(n^3) once, in real arithmetic; each frequency is
+/// O(n^2) complex. Only the rows of Q for two probed unknowns are kept, so
+/// a frequency returns those two unknowns, not the whole solution.
+
+#include <complex>
+#include <cstddef>
+#include <vector>
+
+#include "linalg/lu.hpp"
+#include "linalg/matrix.hpp"
+
+namespace ypm::linalg {
+
+/// Reusable reduction workspace; one per thread. The steady state
+/// allocates nothing once a system size has been seen.
+class HessenbergPencil {
+public:
+    /// Reduce K + sC about the real shift `s0` for the complex rhs `b`,
+    /// keeping the unknowns `probe_a` and `probe_b`. Returns false when A0
+    /// is singular or any reduced quantity is non-finite; solve() then
+    /// fails until the next successful reduce().
+    /// \throws ypm::NumericalError on mismatched shapes or probe indices.
+    [[nodiscard]] bool reduce(const MatrixD& k, const MatrixD& c, double s0,
+                              const std::vector<std::complex<double>>& b,
+                              std::size_t probe_a, std::size_t probe_b);
+
+    /// x[probe_a] and x[probe_b] at s = j*omega. Returns false on a zero
+    /// pivot or a non-finite result.
+    [[nodiscard]] bool solve(double omega, std::complex<double>& x_a,
+                             std::complex<double>& x_b);
+
+    /// The reduced H of M = Q H Q^T (n x n, exact zeros below the
+    /// subdiagonal). A copy, for inspection.
+    [[nodiscard]] MatrixD hessenberg() const;
+
+private:
+    std::size_t n_ = 0;
+    double s0_ = 0.0;
+    bool ready_ = false;
+    MatrixD a0_;
+    /// [H | Re z | Im z | q_a | q_b]: n x (n + 4). The reduction runs on
+    /// [M | Re y | Im y | e_a | e_b], so the left reflectors carry y and
+    /// the probe unit vectors along for free.
+    MatrixD work_;
+    InplaceLu<double> lu_;
+    std::vector<double> v_;
+    std::vector<double> dots_;
+    std::vector<std::complex<double>> t_;
+    std::vector<std::complex<double>> w_;
+    std::vector<std::complex<double>> inv_pivot_;
+};
+
+} // namespace ypm::linalg

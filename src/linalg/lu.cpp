@@ -1,5 +1,6 @@
 #include "linalg/lu.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -192,6 +193,40 @@ void InplaceLu<T>::solve(const Matrix<T>& lu, const std::vector<T>& b,
         const T* row = data + ii * n;
         for (std::size_t j = ii + 1; j < n; ++j) acc -= row[j] * x[j];
         x[ii] = acc / row[ii];
+    }
+}
+
+template <typename T>
+void InplaceLu<T>::solve_columns(const Matrix<T>& lu, Matrix<T>& b) {
+    const std::size_t n = lu.rows();
+    const std::size_t m = b.cols();
+    if (b.rows() != n || perm_.size() != n)
+        throw NumericalError("InplaceLu::solve_columns: size mismatch");
+    const T* data = lu.data().data();
+    T* x = b.data().data();
+
+    rows_.assign(b.data().begin(), b.data().end());
+    for (std::size_t i = 0; i < n; ++i)
+        std::copy_n(rows_.data() + perm_[i] * m, m, x + i * m);
+    for (std::size_t i = 1; i < n; ++i) {
+        T* xi = x + i * m;
+        for (std::size_t j = 0; j < i; ++j) {
+            const T l = data[i * n + j];
+            if (l == T{}) continue;
+            const T* xj = x + j * m;
+            for (std::size_t c = 0; c < m; ++c) xi[c] -= l * xj[c];
+        }
+    }
+    for (std::size_t ii = n; ii-- > 0;) {
+        T* xi = x + ii * m;
+        for (std::size_t j = ii + 1; j < n; ++j) {
+            const T u = data[ii * n + j];
+            if (u == T{}) continue;
+            const T* xj = x + j * m;
+            for (std::size_t c = 0; c < m; ++c) xi[c] -= u * xj[c];
+        }
+        const T pivot = data[ii * n + ii];
+        for (std::size_t c = 0; c < m; ++c) xi[c] /= pivot;
     }
 }
 

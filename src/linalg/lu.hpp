@@ -11,8 +11,9 @@
 namespace ypm::linalg {
 
 /// LU factorisation with row partial pivoting: P*A = L*U.
-/// Factor once, solve for many right-hand sides (the AC sweep re-factors per
-/// frequency, the DC Newton loop per iteration).
+/// Factor once, solve for many right-hand sides (the DC Newton loop
+/// re-factors per iteration; the AC sweep factors once per operating point
+/// and re-factors per frequency only on its dense path).
 template <typename T>
 class Lu {
 public:
@@ -80,8 +81,13 @@ public:
     void solve(const Matrix<T>& lu, const std::vector<T>& b,
                std::vector<T>& x) const;
 
+    /// Solve LU X = B in place for every column of the n x m matrix `b`
+    /// (row-major, so each elimination step updates whole rows).
+    void solve_columns(const Matrix<T>& lu, Matrix<T>& b);
+
 private:
     std::vector<std::size_t> perm_;
+    std::vector<T> rows_; ///< solve_columns' permutation scratch
 };
 
 extern template class Lu<double>;

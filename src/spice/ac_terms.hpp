@@ -3,19 +3,21 @@
 /// \brief Recorded frequency-affine AC stamp terms.
 ///
 /// Most devices' small-signal stamps are affine in the angular frequency:
-/// every matrix/rhs contribution has the form  entry += k + j*omega*c  with
-/// k (complex) and c (real) fixed by the operating point. Such devices can
-/// record their stamp once per operating point through AcTermRecorder; an
-/// AC sweep then *replays* the term list at each frequency instead of
-/// re-running the device models (for a MOSFET that re-evaluation is the
-/// full EKV model - the single hottest call in a sweep).
+/// every matrix contribution has the form  entry += k + j*omega*c  with k
+/// and c real and fixed by the operating point, and every rhs contribution
+/// is a frequency-constant phasor. Such devices can record their stamp once
+/// per operating point through AcTermRecorder; an AC sweep then either
+/// *replays* the term list at each frequency instead of re-running the
+/// device models (for a MOSFET that re-evaluation is the full EKV model -
+/// the single hottest call in a sweep), or sums it once into the real
+/// pencil K + sC (sum_pencil) for the Hessenberg-reduced sweep.
 ///
-/// Bit-identity contract: replay must reproduce the exact additions the
-/// device's stamp_ac would perform. Each recorder call therefore maps to
-/// exactly one += of the value C(k.re, k.im + omega*c) (the same product
-/// and sum the device computes), and terms are replayed in recording order,
-/// which is stamping order. The recorder mirrors Stamper's index math
-/// (ground rows/columns dropped, branch unknowns after the node block).
+/// Replay contract: replay must reproduce the exact additions the device's
+/// stamp_ac would perform. Each recorder call therefore maps to exactly one
+/// += of the value C(k, omega*c) (the same product the device computes),
+/// and terms are replayed in recording order, which is stamping order. The
+/// recorder mirrors Stamper's index math (ground rows/columns dropped,
+/// branch unknowns after the node block).
 
 #include <complex>
 #include <cstdint>
@@ -27,11 +29,17 @@
 
 namespace ypm::spice {
 
-/// One recorded contribution: storage[index] += base + j*omega*sus.
+/// One recorded matrix contribution: storage[index] += base + j*omega*sus.
 struct AcTerm {
     std::uint32_t index = 0;
-    std::complex<double> base;
+    double base = 0.0;
     double sus = 0.0;
+};
+
+/// One recorded rhs contribution: rhs[index] += value.
+struct AcRhsTerm {
+    std::uint32_t index = 0;
+    std::complex<double> value;
 };
 
 class AcTermRecorder {
@@ -62,12 +70,12 @@ public:
         rhs_terms_.clear();
     }
     [[nodiscard]] const std::vector<AcTerm>& terms() const { return terms_; }
-    [[nodiscard]] const std::vector<AcTerm>& rhs_terms() const {
+    [[nodiscard]] const std::vector<AcRhsTerm>& rhs_terms() const {
         return rhs_terms_;
     }
 
     /// A(row, col) += base + j*omega*sus for node/node entries.
-    void mat(NodeId row, NodeId col, std::complex<double> base, double sus = 0.0) {
+    void mat(NodeId row, NodeId col, double base, double sus = 0.0) {
         if (row == ground || col == ground) return;
         push(idx(row) * n_ + idx(col), base, sus);
     }
@@ -76,37 +84,34 @@ public:
     /// so rhs terms replay once per operating point, not per frequency).
     void rhs(NodeId row, std::complex<double> base) {
         if (row == ground) return;
-        rhs_terms_.push_back(
-            {static_cast<std::uint32_t>(idx(row)), base, 0.0});
+        rhs_terms_.push_back({static_cast<std::uint32_t>(idx(row)), base});
     }
 
     /// Two-terminal admittance stamp; expands to the same four mat() calls,
     /// in the same order, as Stamper::conductance.
-    void conductance(NodeId a, NodeId b, std::complex<double> base,
-                     double sus = 0.0) {
+    void conductance(NodeId a, NodeId b, double base, double sus = 0.0) {
         mat(a, a, base, sus);
         mat(b, b, base, sus);
         mat(a, b, -base, -sus);
         mat(b, a, -base, -sus);
     }
 
-    void mat_branch_row(std::size_t branch, NodeId col, std::complex<double> base,
+    void mat_branch_row(std::size_t branch, NodeId col, double base,
                         double sus = 0.0) {
         if (col == ground) return;
         push(brow(branch) * n_ + idx(col), base, sus);
     }
-    void mat_branch_col(NodeId row, std::size_t branch, std::complex<double> base,
+    void mat_branch_col(NodeId row, std::size_t branch, double base,
                         double sus = 0.0) {
         if (row == ground) return;
         push(idx(row) * n_ + brow(branch), base, sus);
     }
-    void mat_branch_branch(std::size_t br_row, std::size_t br_col,
-                           std::complex<double> base, double sus = 0.0) {
+    void mat_branch_branch(std::size_t br_row, std::size_t br_col, double base,
+                           double sus = 0.0) {
         push(brow(br_row) * n_ + brow(br_col), base, sus);
     }
     void rhs_branch(std::size_t branch, std::complex<double> base) {
-        rhs_terms_.push_back(
-            {static_cast<std::uint32_t>(brow(branch)), base, 0.0});
+        rhs_terms_.push_back({static_cast<std::uint32_t>(brow(branch)), base});
     }
 
     /// Replay every matrix term at angular frequency omega into the dense
@@ -114,19 +119,27 @@ public:
     /// solve zeroes its system before stamping.
     void replay_matrix(double omega, std::complex<double>* a) const {
         for (const AcTerm& t : terms_) {
-            // sus == 0 covers -0.0 too: base alone is the exact stamp value.
-            const std::complex<double> v =
-                t.sus == 0.0
-                    ? t.base
-                    : std::complex<double>(t.base.real(),
-                                           t.base.imag() + omega * t.sus);
-            a[t.index] += v;
+            // sus == 0 covers -0.0 too: the device stamps a zero imaginary
+            // part, whose sign cannot show in an accumulator that starts at
+            // +0.0.
+            a[t.index] += std::complex<double>(
+                t.base, t.sus == 0.0 ? 0.0 : omega * t.sus);
         }
     }
 
     /// Replay the rhs terms into `b` (n entries, zeroed by the caller).
     void replay_rhs(std::complex<double>* b) const {
-        for (const AcTerm& t : rhs_terms_) b[t.index] += t.base;
+        for (const AcRhsTerm& t : rhs_terms_) b[t.index] += t.value;
+    }
+
+    /// Sum the matrix terms into the real pencil K + s*C that replay_matrix
+    /// evaluates at s = j*omega: K collects every base, C every sus. Both
+    /// are dense row-major n*n, zeroed by the caller.
+    void sum_pencil(double* k, double* c) const {
+        for (const AcTerm& t : terms_) {
+            k[t.index] += t.base;
+            c[t.index] += t.sus;
+        }
     }
 
 private:
@@ -136,14 +149,14 @@ private:
     [[nodiscard]] std::size_t brow(std::size_t branch) const {
         return n_nodes_ + branch;
     }
-    void push(std::size_t index, std::complex<double> base, double sus) {
+    void push(std::size_t index, double base, double sus) {
         terms_.push_back({static_cast<std::uint32_t>(index), base, sus});
     }
 
     std::size_t n_nodes_ = 0;
     std::size_t n_ = 0;
-    std::vector<AcTerm> terms_;     ///< matrix contributions
-    std::vector<AcTerm> rhs_terms_; ///< frequency-constant rhs contributions
+    std::vector<AcTerm> terms_;        ///< matrix contributions
+    std::vector<AcRhsTerm> rhs_terms_; ///< frequency-constant rhs contributions
 };
 
 } // namespace ypm::spice

@@ -1,12 +1,41 @@
 #include "spice/analysis/ac_sweep.hpp"
 
 #include <algorithm>
+#include <cmath>
 
+#include "obs/metrics.hpp"
 #include "spice/stamper.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
 namespace ypm::spice {
+
+namespace {
+
+/// Sweep-path instruments, resolved once; always-on (one relaxed atomic
+/// bump per sweep).
+struct AcSweepMetrics {
+    obs::Counter& reduced;
+    obs::Counter& dense;
+    obs::Counter& fallbacks;
+
+    static AcSweepMetrics& get() {
+        auto& registry = obs::MetricsRegistry::global();
+        static AcSweepMetrics metrics{registry.counter("spice.ac.reduced_sweeps"),
+                                      registry.counter("spice.ac.dense_sweeps"),
+                                      registry.counter("spice.ac.guard_fallbacks")};
+        return metrics;
+    }
+};
+
+/// Largest |reduced - dense| the endpoint guard accepts, relative to the
+/// dense value (absolute below |h| = 1e-3).
+constexpr double kGuardRelTol = 1e-6;
+constexpr double kGuardFloor = 1e-3;
+
+double omega_of(double f) { return 2.0 * mathx::pi * f; }
+
+} // namespace
 
 std::vector<std::complex<double>>
 ac_sweep_transfer(Circuit& circuit, const Solution& op,
@@ -19,6 +48,9 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
             "ac_sweep_transfer: operating point does not match circuit");
     if (out == ground || in == ground)
         throw InvalidInputError("ac_sweep_transfer: probe nodes must not be ground");
+    for (double f : freqs)
+        if (!(f > 0.0))
+            throw InvalidInputError("ac_sweep_transfer: frequencies must be > 0");
 
     const std::size_t n_nodes = circuit.node_count();
     const std::size_t n = circuit.unknowns();
@@ -44,8 +76,6 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
         }
     }
 
-    std::vector<C> h;
-    h.reserve(freqs.size());
     const std::size_t out_idx = static_cast<std::size_t>(out) - 1;
     const std::size_t in_idx = static_cast<std::size_t>(in) - 1;
 
@@ -57,10 +87,8 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
         ws.recorder_.replay_rhs(ws.b_.data());
     }
 
-    for (double f : freqs) {
-        if (!(f > 0.0))
-            throw InvalidInputError("ac_sweep_transfer: frequencies must be > 0");
-        const double omega = 2.0 * mathx::pi * f;
+    // One frequency by stamp replay + dense LU: bit-identical to run_ac.
+    const auto dense_point = [&](double omega) -> C {
         ws.a_.set_zero();
         if (!rhs_static) std::fill(ws.b_.begin(), ws.b_.end(), C{});
         if (plan_ok) {
@@ -85,8 +113,62 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
         const C vin = ws.x_[in_idx];
         if (std::abs(vin) == 0.0)
             throw NumericalError("AcResult::transfer: zero input response");
-        h.push_back(ws.x_[out_idx] / vin);
+        return ws.x_[out_idx] / vin;
+    };
+
+    // The whole sweep through one Hessenberg reduction of the real pencil
+    // K + sC; false when a guard fires and the dense loop must answer.
+    const auto reduced_sweep = [&](std::vector<C>& h) -> bool {
+        if (ws.k_.rows() != n) {
+            ws.k_ = linalg::MatrixD(n);
+            ws.c_ = linalg::MatrixD(n);
+        }
+        ws.k_.set_zero();
+        ws.c_.set_zero();
+        ws.recorder_.sum_pencil(ws.k_.data().data(), ws.c_.data().data());
+        for (std::size_t i = 0; i < n_nodes; ++i) ws.k_(i, i) += 1e-15;
+
+        // Real shift at the sweep's geometric centre.
+        const double s0 = omega_of(std::sqrt(freqs.front() * freqs.back()));
+        if (!ws.pencil_.reduce(ws.k_, ws.c_, s0, ws.b_, out_idx, in_idx))
+            return false;
+        h.resize(freqs.size());
+        for (std::size_t i = 0; i < freqs.size(); ++i) {
+            C v_out, v_in;
+            if (!ws.pencil_.solve(omega_of(freqs[i]), v_out, v_in)) return false;
+            h[i] = v_out / v_in;
+            if (!std::isfinite(h[i].real()) || !std::isfinite(h[i].imag()))
+                return false;
+        }
+        // Endpoint check against the dense solve: catches a shift that
+        // conditions the reduction badly for this pencil.
+        for (std::size_t i : {std::size_t{0}, freqs.size() - 1}) {
+            C ref;
+            try {
+                ref = dense_point(omega_of(freqs[i]));
+            } catch (const NumericalError&) {
+                return false;
+            }
+            if (!(std::abs(h[i] - ref) <=
+                  kGuardRelTol * std::max(std::abs(ref), kGuardFloor)))
+                return false;
+        }
+        return true;
+    };
+
+    AcSweepMetrics& metrics = AcSweepMetrics::get();
+    std::vector<C> h;
+    if (rhs_static && !freqs.empty()) {
+        if (reduced_sweep(h)) {
+            metrics.reduced.add();
+            return h;
+        }
+        metrics.fallbacks.add();
     }
+    metrics.dense.add();
+    h.clear();
+    h.reserve(freqs.size());
+    for (double f : freqs) h.push_back(dense_point(omega_of(f)));
     return h;
 }
 

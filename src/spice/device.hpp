@@ -62,9 +62,9 @@ public:
                           const Solution& op) const = 0;
 
     /// Frequency-affine AC stamp: record this device's stamp_ac as
-    /// entry += k + j*omega*c terms, evaluated once per operating point and
-    /// replayed per frequency by batch sweeps (see ac_terms.hpp for the
-    /// bit-identity contract). Returns false (the default) when the stamp
+    /// entry += k + j*omega*c terms (k, c real), evaluated once per
+    /// operating point and replayed or reduced by batch sweeps (see
+    /// ac_terms.hpp for the replay contract). Returns false (the default) when the stamp
     /// is not affine in omega; the sweep then falls back to per-frequency
     /// stamp_ac for this device.
     [[nodiscard]] virtual bool stamp_ac_affine(AcTermRecorder& rec,

@@ -26,7 +26,7 @@ void Capacitor::stamp_ac(ComplexStamper& s, double omega, const Solution&) const
 }
 
 bool Capacitor::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
-    rec.conductance(a_, b_, {0.0, 0.0}, c_);
+    rec.conductance(a_, b_, 0.0, c_);
     return true;
 }
 

@@ -30,11 +30,11 @@ void Inductor::stamp_ac(ComplexStamper& s, double omega, const Solution&) const 
 }
 
 bool Inductor::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
-    rec.mat_branch_col(a_, branch(), {1.0, 0.0});
-    rec.mat_branch_col(b_, branch(), {-1.0, 0.0});
-    rec.mat_branch_row(branch(), a_, {1.0, 0.0});
-    rec.mat_branch_row(branch(), b_, {-1.0, 0.0});
-    rec.mat_branch_branch(branch(), branch(), {0.0, 0.0}, -l_);
+    rec.mat_branch_col(a_, branch(), 1.0);
+    rec.mat_branch_col(b_, branch(), -1.0);
+    rec.mat_branch_row(branch(), a_, 1.0);
+    rec.mat_branch_row(branch(), b_, -1.0);
+    rec.mat_branch_branch(branch(), branch(), 0.0, -l_);
     return true;
 }
 

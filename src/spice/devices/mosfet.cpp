@@ -274,20 +274,20 @@ bool Mosfet::stamp_ac_affine(AcTermRecorder& rec, const Solution& op_sol) const 
     // here, instead of once per frequency in stamp_ac.
     const OpInfo op = op_info(op_sol);
 
-    rec.mat(d_, g_, {op.g_dg, 0.0});
-    rec.mat(d_, d_, {op.g_dd, 0.0});
-    rec.mat(d_, s_, {op.g_ds, 0.0});
-    rec.mat(d_, b_, {op.g_db, 0.0});
-    rec.mat(s_, g_, {-op.g_dg, 0.0});
-    rec.mat(s_, d_, {-op.g_dd, 0.0});
-    rec.mat(s_, s_, {-op.g_ds, 0.0});
-    rec.mat(s_, b_, {-op.g_db, 0.0});
+    rec.mat(d_, g_, op.g_dg);
+    rec.mat(d_, d_, op.g_dd);
+    rec.mat(d_, s_, op.g_ds);
+    rec.mat(d_, b_, op.g_db);
+    rec.mat(s_, g_, -op.g_dg);
+    rec.mat(s_, d_, -op.g_dd);
+    rec.mat(s_, s_, -op.g_ds);
+    rec.mat(s_, b_, -op.g_db);
 
-    rec.conductance(g_, s_, {0.0, 0.0}, op.cgs);
-    rec.conductance(g_, d_, {0.0, 0.0}, op.cgd);
-    rec.conductance(g_, b_, {0.0, 0.0}, op.cgb);
-    rec.conductance(d_, b_, {0.0, 0.0}, op.cdb);
-    rec.conductance(s_, b_, {0.0, 0.0}, op.csb);
+    rec.conductance(g_, s_, 0.0, op.cgs);
+    rec.conductance(g_, d_, 0.0, op.cgd);
+    rec.conductance(g_, b_, 0.0, op.cgb);
+    rec.conductance(d_, b_, 0.0, op.cdb);
+    rec.conductance(s_, b_, 0.0, op.csb);
     return true;
 }
 

@@ -25,7 +25,7 @@ void Resistor::stamp_ac(ComplexStamper& s, double, const Solution&) const {
 }
 
 bool Resistor::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
-    rec.conductance(a_, b_, {1.0 / r_, 0.0});
+    rec.conductance(a_, b_, 1.0 / r_);
     return true;
 }
 

@@ -72,10 +72,10 @@ void VoltageSource::stamp_ac(ComplexStamper& s, double, const Solution&) const {
 }
 
 bool VoltageSource::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
-    rec.mat_branch_col(a_, branch(), {1.0, 0.0});
-    rec.mat_branch_col(b_, branch(), {-1.0, 0.0});
-    rec.mat_branch_row(branch(), a_, {1.0, 0.0});
-    rec.mat_branch_row(branch(), b_, {-1.0, 0.0});
+    rec.mat_branch_col(a_, branch(), 1.0);
+    rec.mat_branch_col(b_, branch(), -1.0);
+    rec.mat_branch_row(branch(), a_, 1.0);
+    rec.mat_branch_row(branch(), b_, -1.0);
     rec.rhs_branch(branch(), ac_phasor());
     return true;
 }

@@ -15,9 +15,13 @@
 /// device lookup for sizing re-binding), and - through its Instance view -
 /// the MNA stamp pattern and factorisation workspaces of the DC and AC
 /// analyses. Re-binding a new point mutates device parameters in place and
-/// re-stamps numerics without reallocating structure; results are
-/// bit-identical to building a fresh circuit at the same point (same device
-/// order, same stamp values, same solver trajectory).
+/// re-stamps numerics without reallocating structure. The DC operating
+/// point is bit-identical to building a fresh circuit at the same point
+/// (same device order, same stamp values, same solver trajectory); the AC
+/// sweep matches run_ac on the fresh circuit to rounding where it takes the
+/// Hessenberg-reduced path and bit for bit on the dense path (see
+/// ac_sweep.hpp). Either way a re-bound point depends only on that point:
+/// results never depend on what the instance measured before.
 ///
 /// Instances are cheap but stateful: one Instance (and one prototype) per
 /// thread. The engine's chunk kernels construct one per chunk.
@@ -99,8 +103,10 @@ public:
             return solver.solve(proto_->circuit(), dc_ws_);
         }
 
-        /// AC transfer sweep h[i] = V(out)/V(in); bit-identical to
-        /// run_ac + AcResult::transfer on a fresh build.
+        /// AC transfer sweep h[i] = V(out)/V(in) through
+        /// ac_sweep_transfer: equal to run_ac + AcResult::transfer on a
+        /// fresh build to rounding (reduced path) or bit for bit (dense
+        /// path), and bit-identical across warm and cold instances.
         [[nodiscard]] std::vector<std::complex<double>>
         ac_transfer(const Solution& op, const std::vector<double>& freqs,
                     NodeId out, NodeId in) {

@@ -1,10 +1,13 @@
-// Unit tests for src/linalg: dense matrix and partial-pivot LU (real and
-// complex), including property-style randomised solve checks.
+// Unit tests for src/linalg: dense matrix, partial-pivot LU (real and
+// complex) and the Hessenberg-reduced pencil solve, including
+// property-style randomised solve checks.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <complex>
 
+#include "linalg/hessenberg.hpp"
 #include "linalg/lu.hpp"
 #include "linalg/matrix.hpp"
 #include "util/error.hpp"
@@ -197,6 +200,104 @@ TEST(Lu, PivotRatioReflectsConditioning) {
     bad(1, 1) = 1e-12;
     const Lu<double> poor(bad);
     EXPECT_LT(poor.pivot_ratio(), 1e-9);
+}
+
+TEST(InplaceLu, SolveColumnsMatchesPerColumnSolve) {
+    const std::size_t n = 6;
+    Rng rng(77);
+    MatrixD a(n);
+    MatrixD b(n, 3);
+    for (std::size_t i = 0; i < n; ++i) {
+        for (std::size_t j = 0; j < n; ++j) a(i, j) = rng.uniform(-1.0, 1.0);
+        for (std::size_t j = 0; j < 3; ++j) b(i, j) = rng.uniform(-1.0, 1.0);
+    }
+    const Lu<double> reference(a);
+    linalg::InplaceLu<double> lu;
+    MatrixD packed = a;
+    lu.factor(packed);
+    MatrixD x = b;
+    lu.solve_columns(packed, x);
+    for (std::size_t j = 0; j < 3; ++j) {
+        std::vector<double> col(n);
+        for (std::size_t i = 0; i < n; ++i) col[i] = b(i, j);
+        const auto expected = reference.solve(col);
+        for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x(i, j), expected[i], 1e-12);
+    }
+}
+
+// Property: on random real pencils K + sC the reduction yields an upper
+// Hessenberg H similar to M = (K + s0*C)^-1 C, and the per-frequency
+// Hessenberg solve reproduces a dense complex LU of (K + j*omega*C) x = b.
+TEST(HessenbergPencil, RandomPencilsMatchDenseLu) {
+    using C = std::complex<double>;
+    for (std::size_t n : {1u, 2u, 3u, 5u, 8u, 13u, 20u}) {
+        Rng rng(3000 + n);
+        MatrixD k(n);
+        MatrixD c(n);
+        std::vector<C> b(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                k(i, j) = rng.uniform(-1.0, 1.0);
+                c(i, j) = rng.uniform(-1.0, 1.0);
+            }
+            k(i, i) += static_cast<double>(n);
+            b[i] = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+        }
+        const double s0 = 1.5;
+        const std::size_t probe_a = n - 1;
+        const std::size_t probe_b = n / 2;
+        linalg::HessenbergPencil pencil;
+        ASSERT_TRUE(pencil.reduce(k, c, s0, b, probe_a, probe_b)) << "n=" << n;
+
+        const MatrixD h = pencil.hessenberg();
+        for (std::size_t i = 2; i < n; ++i)
+            for (std::size_t j = 0; j + 1 < i; ++j)
+                EXPECT_EQ(h(i, j), 0.0) << "n=" << n << " H(" << i << "," << j << ")";
+        // An orthogonal similarity preserves the trace.
+        MatrixD a0(n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j) a0(i, j) = k(i, j) + s0 * c(i, j);
+        const Lu<double> a0_lu(a0);
+        double trace_m = 0.0;
+        double trace_h = 0.0;
+        for (std::size_t j = 0; j < n; ++j) {
+            std::vector<double> col(n);
+            for (std::size_t i = 0; i < n; ++i) col[i] = c(i, j);
+            trace_m += a0_lu.solve(col)[j];
+            trace_h += h(j, j);
+        }
+        EXPECT_NEAR(trace_h, trace_m, 1e-10 * (1.0 + std::fabs(trace_m)));
+
+        for (double omega : {1e-3, 0.3, 1.0, 7.0, 100.0}) {
+            MatrixC a(n);
+            for (std::size_t i = 0; i < n; ++i)
+                for (std::size_t j = 0; j < n; ++j)
+                    a(i, j) = C(k(i, j), omega * c(i, j));
+            const auto x = linalg::solve(a, b);
+            double scale = 0.0;
+            for (const C& v : x) scale = std::max(scale, std::abs(v));
+            C x_a, x_b;
+            ASSERT_TRUE(pencil.solve(omega, x_a, x_b));
+            EXPECT_LE(std::abs(x_a - x[probe_a]), 1e-10 * scale)
+                << "n=" << n << " omega=" << omega;
+            EXPECT_LE(std::abs(x_b - x[probe_b]), 1e-10 * scale)
+                << "n=" << n << " omega=" << omega;
+        }
+    }
+}
+
+TEST(HessenbergPencil, SingularShiftedMatrixIsReported) {
+    // K = -s0*C makes A0 = K + s0*C exactly zero.
+    const double s0 = 4.0;
+    MatrixD c = MatrixD::identity(3);
+    MatrixD k(3);
+    for (std::size_t i = 0; i < 3; ++i) k(i, i) = -s0;
+    const std::vector<std::complex<double>> b(3, {1.0, 0.0});
+    linalg::HessenbergPencil pencil;
+    EXPECT_FALSE(pencil.reduce(k, c, s0, b, 0, 1));
+    std::complex<double> x_a, x_b;
+    EXPECT_FALSE(pencil.solve(1.0, x_a, x_b));
+    EXPECT_THROW((void)pencil.reduce(k, c, s0, b, 3, 0), NumericalError);
 }
 
 } // namespace
