@@ -418,15 +418,23 @@ double consume_variation(const mc::McResult& result) {
     return gain_var.delta_3sigma_pct + pm_var.delta_3sigma_pct;
 }
 
-eval::KernelFn bode_kernel(const circuits::OtaEvaluator& evaluator) {
-    return [&evaluator](const eval::EvalRequest& request) {
-        const auto perf =
-            evaluator.measure(circuits::OtaSizing::from_vector(request.params));
-        if (!perf.valid)
-            return std::vector<double>(4,
-                                       std::numeric_limits<double>::quiet_NaN());
-        return std::vector<double>{perf.gain_db, perf.pm_deg, perf.bode.f3db,
-                                   perf.bode.gbw};
+eval::ChunkKernelFn bode_kernel(const circuits::OtaEvaluator& evaluator) {
+    return [&evaluator](std::span<const eval::EvalRequest* const> requests,
+                        std::span<Rng>) {
+        std::vector<circuits::OtaSizing> sizings;
+        sizings.reserve(requests.size());
+        for (const eval::EvalRequest* r : requests)
+            sizings.push_back(circuits::OtaSizing::from_vector(r->params));
+        std::vector<std::vector<double>> rows;
+        rows.reserve(requests.size());
+        for (const auto& perf : evaluator.measure_chunk(sizings)) {
+            if (!perf.valid)
+                rows.emplace_back(4, std::numeric_limits<double>::quiet_NaN());
+            else
+                rows.push_back({perf.gain_db, perf.pm_deg, perf.bode.f3db,
+                                perf.bode.gbw});
+        }
+        return rows;
     };
 }
 
@@ -442,7 +450,7 @@ run_points_blocking(eval::Engine& engine, const circuits::OtaEvaluator& evaluato
                     const process::ProcessSampler& sampler,
                     const std::vector<circuits::OtaSizing>& sizings,
                     std::size_t samples, Rng& rng, double& sink) {
-    const eval::KernelFn bode = bode_kernel(evaluator);
+    const eval::ChunkKernelFn bode = bode_kernel(evaluator);
     std::vector<PointOutcome> out;
     out.reserve(sizings.size());
     for (const auto& s : sizings) {
@@ -466,7 +474,7 @@ run_points_async(eval::Engine& engine, const circuits::OtaEvaluator& evaluator,
                  const process::ProcessSampler& sampler,
                  const std::vector<circuits::OtaSizing>& sizings,
                  std::size_t samples, Rng& rng, double& sink) {
-    const eval::KernelFn bode = bode_kernel(evaluator);
+    const eval::ChunkKernelFn bode = bode_kernel(evaluator);
     std::vector<eval::Engine::Ticket> bode_tickets;
     std::vector<mc::McTicket> mc_tickets;
     bode_tickets.reserve(sizings.size());

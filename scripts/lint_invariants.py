@@ -24,6 +24,11 @@ Rules (applied to src/**/*.{hpp,cpp} after stripping comments/strings):
   raw-thread       no std::thread / std::jthread / std::async /
                    pthread_create outside util/thread_pool.* - all
                    parallelism rides the deterministic pool.
+  raw-dispatch     no ThreadPool::parallel_for / parallel_for_async call
+                   outside eval/engine.cpp and util/thread_pool.* - every
+                   batch goes through the engine's one chunked dispatch
+                   path (scheduling, RNG child streams, cache and ledger),
+                   so a second dispatch path cannot creep back.
   raw-mutex        no std::mutex / std::condition_variable / std::lock_guard
                    / std::unique_lock / std::scoped_lock outside
                    util/mutex.hpp - raw lock types are invisible to the
@@ -57,6 +62,7 @@ RULES = (
     "wallclock",
     "raw-clock",
     "raw-thread",
+    "raw-dispatch",
     "raw-mutex",
     "unguarded-mutex",
     "float-accum",
@@ -67,6 +73,8 @@ RULES = (
 # (These are law, not allowlist: they never need justification entries.)
 RULE_HOME = {
     "raw-thread": ("src/util/thread_pool.hpp", "src/util/thread_pool.cpp"),
+    "raw-dispatch": ("src/eval/engine.cpp", "src/util/thread_pool.hpp",
+                     "src/util/thread_pool.cpp"),
     "raw-mutex": ("src/util/mutex.hpp",),
     "unguarded-mutex": ("src/util/mutex.hpp",),
     "rng-construction": ("src/util/rng.hpp", "src/util/rng.cpp"),
@@ -84,6 +92,7 @@ RAW_CLOCK_RE = re.compile(
 RAW_THREAD_RE = re.compile(
     r"std::j?thread\b|std::async\b|pthread_create\b|std::promise\b"
 )
+RAW_DISPATCH_RE = re.compile(r"\bparallel_for(?:_async)?\s*\(")
 RAW_MUTEX_RE = re.compile(
     r"std::(?:recursive_|timed_|recursive_timed_|shared_)?mutex\b"
     r"|std::condition_variable(?:_any)?\b"
@@ -243,6 +252,12 @@ def scan_file(path: pathlib.Path, relpath: str) -> list[Finding]:
         flag("raw-thread", m.start(), m.group(0),
              f"raw threading primitive '{m.group(0)}' - use "
              "util::ThreadPool so work stays deterministic in item index")
+    for m in RAW_DISPATCH_RE.finditer(code):
+        token = m.group(0).rstrip("( \t\n")
+        flag("raw-dispatch", m.start(), token,
+             f"direct pool dispatch '{token}' - submit an EvalBatch to "
+             "eval::Engine so scheduling, RNG streams, cache and ledger stay "
+             "on its one chunked path")
     for m in RAW_MUTEX_RE.finditer(code):
         flag("raw-mutex", m.start(), m.group(0),
              f"raw lock type '{m.group(0)}' - use util::Mutex / "

@@ -28,10 +28,12 @@ measure_rows(const FilterEvaluator& evaluator,
 
 } // namespace
 
-eval::BatchKernelFn
+eval::ChunkKernelFn
 filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
                                OtaModelKind kind) {
-    return [&evaluator, kind](const std::vector<const eval::EvalRequest*>& requests) {
+    return [&evaluator,
+            kind](std::span<const eval::EvalRequest* const> requests,
+                  std::span<Rng>) {
         std::vector<FilterSizing> sizings;
         sizings.reserve(requests.size());
         for (const eval::EvalRequest* r : requests)

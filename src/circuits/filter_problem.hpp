@@ -14,7 +14,7 @@ namespace ypm::circuits {
 /// leased filter prototype per chunk (FilterEvaluator::measure_chunk).
 /// Consumers sharing an engine tag measure through it so cached rows stay
 /// interchangeable. \param evaluator must outlive the kernel.
-[[nodiscard]] eval::BatchKernelFn
+[[nodiscard]] eval::ChunkKernelFn
 filter_objectives_chunk_kernel(const FilterEvaluator& evaluator,
                                OtaModelKind kind);
 

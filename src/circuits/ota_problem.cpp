@@ -23,8 +23,9 @@ measure_rows(const OtaEvaluator& evaluator,
 
 } // namespace
 
-eval::BatchKernelFn ota_objectives_chunk_kernel(const OtaEvaluator& evaluator) {
-    return [&evaluator](const std::vector<const eval::EvalRequest*>& requests) {
+eval::ChunkKernelFn ota_objectives_chunk_kernel(const OtaEvaluator& evaluator) {
+    return [&evaluator](std::span<const eval::EvalRequest* const> requests,
+                        std::span<Rng>) {
         std::vector<OtaSizing> sizings;
         sizings.reserve(requests.size());
         for (const eval::EvalRequest* r : requests)

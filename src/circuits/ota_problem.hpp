@@ -16,7 +16,7 @@ namespace ypm::circuits {
 /// shares an engine's default cache tag (OtaProblem, sensitivity probes,
 /// transistor-level verification) measures through it, so cached rows stay
 /// interchangeable. \param evaluator must outlive the kernel.
-[[nodiscard]] eval::BatchKernelFn
+[[nodiscard]] eval::ChunkKernelFn
 ota_objectives_chunk_kernel(const OtaEvaluator& evaluator);
 
 class OtaProblem final : public moo::Problem {

@@ -2,7 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 
@@ -24,16 +24,6 @@ std::uint64_t mix64(std::uint64_t a, std::uint64_t b) {
 }
 
 namespace {
-
-/// A fresh evaluation failed when its row carries a NaN (the moo::Problem
-/// contract) or is empty (a kernel that signals failure by returning no
-/// values - the NaN scan alone cannot see those).
-bool row_failed(const std::vector<double>& values) {
-    if (values.empty()) return true;
-    for (double v : values)
-        if (std::isnan(v)) return true;
-    return false;
-}
 
 /// Engine instruments, resolved once. Unlike the per-instance ledger these
 /// aggregate across every engine in the process; always-on (a handful of
@@ -70,6 +60,8 @@ std::atomic<std::uint64_t> g_batch_seq{0};
 struct Engine::Pending {
     const Engine* owner = nullptr;     ///< rejects tickets waited elsewhere
     EvalBatch batch;                   ///< owned copy; jobs read items from it
+    ChunkKernelFn kernel;              ///< owned copy; jobs call it
+    std::optional<Rng> base;           ///< stochastic batches only
     std::vector<EvalResult> results;
     std::vector<std::size_t> misses;   ///< batch indices needing evaluation
     std::vector<CacheKey> keys;        ///< per-item keys (cache enabled only)
@@ -123,12 +115,17 @@ void Engine::reset_counters() {
     counters_ = EngineCounters{};
 }
 
-Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
-                                   const DispatchFn& dispatch) {
+Engine::Ticket Engine::enqueue(EvalBatch batch, ChunkKernelFn kernel,
+                               Rng* rng) {
     const util::TickNs t0 = util::now_ns();
     auto pending = std::make_shared<Pending>();
     pending->owner = this;
     pending->batch = std::move(batch);
+    pending->kernel = std::move(kernel);
+    // Same derivation as the original Monte Carlo runner: one child stream
+    // per item from the caller's RNG (identical for any thread count), with
+    // the parent advanced once at submission so successive batches differ.
+    if (rng != nullptr) pending->base = rng->child(rng->engine()());
     pending->seq = g_batch_seq.fetch_add(1, std::memory_order_relaxed) + 1;
     pending->submitted_at = t0;
     const std::size_t n = pending->batch.size();
@@ -152,7 +149,13 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
                 pending->misses.push_back(i);
                 continue;
             }
-            pending->keys[i] = CacheKey{item.params, item.process_key, salt_of(i)};
+            // Cache salt: the batch tag, plus the item's stream for
+            // stochastic batches (another stream is another sample).
+            const std::uint64_t salt =
+                pending->base
+                    ? mix64(pending->batch.tag, mix64(pending->base->seed(), i))
+                    : pending->batch.tag;
+            pending->keys[i] = CacheKey{item.params, item.process_key, salt};
             if (auto hit = cache_.find(pending->keys[i])) {
                 pending->results[i].values = std::move(*hit);
                 pending->results[i].from_cache = true;
@@ -181,7 +184,7 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
     // Start the misses. Parallel engines enqueue pool jobs and return
     // immediately; serial engines evaluate inline here (still deferring
     // ledger/cache retirement to wait(), so both paths retire identically).
-    dispatch(*pending);
+    dispatch_chunks(*pending);
 
     {
         const util::MutexLock lock(mutex_);
@@ -198,31 +201,7 @@ Engine::Ticket Engine::submit_impl(EvalBatch batch, const SaltFn& salt_of,
     return Ticket(std::move(pending));
 }
 
-void Engine::dispatch_items(Pending& pending, ItemEvalFn eval_item) {
-    const std::size_t count = pending.misses.size();
-    if (count == 0) return;
-    Pending* p = &pending;
-    // Shared so the closure stays copyable (std::function requirement).
-    auto eval = std::make_shared<ItemEvalFn>(std::move(eval_item));
-    auto run_item = [p, eval](std::size_t k) {
-        const std::size_t idx = p->misses[k];
-        obs::Span span("engine.kernel", "kernel");
-        span.arg("batch", static_cast<double>(p->seq));
-        span.arg("item", static_cast<double>(idx));
-        p->results[idx].values = (*eval)(p->batch.items[idx], idx);
-    };
-    if (!config_.parallel) {
-        try {
-            for (std::size_t k = 0; k < count; ++k) run_item(k);
-        } catch (...) {
-            pending.error = std::current_exception();
-        }
-        return;
-    }
-    pending.job = pool().parallel_for_async(count, std::move(run_item));
-}
-
-void Engine::dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk) {
+void Engine::dispatch_chunks(Pending& pending) {
     const std::size_t count = pending.misses.size();
     if (count == 0) return;
     // Worker-sized chunks keep chunk kernels busy without starving the
@@ -234,8 +213,7 @@ void Engine::dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk) {
     const std::size_t n_chunks = (count + chunk - 1) / chunk;
 
     Pending* p = &pending;
-    auto eval = std::make_shared<ChunkEvalFn>(std::move(eval_chunk));
-    auto run_chunk = [p, eval, chunk, count](std::size_t c) {
+    auto run_chunk = [p, chunk, count](std::size_t c) {
         const std::size_t lo = c * chunk;
         const std::size_t hi = std::min(count, lo + chunk);
         obs::Span span("engine.kernel", "kernel");
@@ -243,11 +221,14 @@ void Engine::dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk) {
         span.arg("chunk", static_cast<double>(c));
         span.arg("items", static_cast<double>(hi - lo));
         std::vector<const EvalRequest*> reqs;
+        std::vector<Rng> rngs;
         reqs.reserve(hi - lo);
-        for (std::size_t k = lo; k < hi; ++k)
+        if (p->base) rngs.reserve(hi - lo);
+        for (std::size_t k = lo; k < hi; ++k) {
             reqs.push_back(&p->batch.items[p->misses[k]]);
-        auto out = (*eval)(
-            reqs, std::span<const std::size_t>(p->misses.data() + lo, hi - lo));
+            if (p->base) rngs.push_back(p->base->child(p->misses[k]));
+        }
+        auto out = p->kernel(reqs, rngs);
         if (out.size() != reqs.size())
             throw InvalidInputError(
                 "eval::Engine: chunk kernel returned wrong batch size");
@@ -377,103 +358,21 @@ std::vector<EvalResult> Engine::wait(Ticket ticket) {
     return std::move(pending->results);
 }
 
-Engine::Ticket Engine::submit(EvalBatch batch, KernelFn kernel) {
-    const std::uint64_t salt = batch.tag;
-    auto eval = std::make_shared<KernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch), [salt](std::size_t) { return salt; },
-        [&](Pending& pending) {
-            dispatch_items(pending,
-                           [eval](const EvalRequest& request, std::size_t) {
-                               return (*eval)(request);
-                           });
-        });
+Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel) {
+    return enqueue(std::move(batch), std::move(kernel), nullptr);
 }
 
-Engine::Ticket Engine::submit(EvalBatch batch, BatchKernelFn kernel) {
-    const std::uint64_t salt = batch.tag;
-    auto eval = std::make_shared<BatchKernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch), [salt](std::size_t) { return salt; },
-        [&](Pending& pending) {
-            dispatch_chunks(pending,
-                            [eval](const std::vector<const EvalRequest*>& reqs,
-                                   std::span<const std::size_t>) {
-                                return (*eval)(reqs);
-                            });
-        });
-}
-
-Engine::Ticket Engine::submit(EvalBatch batch, StochasticKernelFn kernel,
-                              Rng& rng) {
-    // Same derivation as the original Monte Carlo runner: one child stream
-    // per item from the caller's RNG (identical for any thread count), with
-    // the parent advanced once at submission so successive batches differ.
-    const Rng base = rng.child(rng.engine()());
-    const std::uint64_t base_seed = base.seed();
-    const std::uint64_t tag = batch.tag;
-    auto eval = std::make_shared<StochasticKernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch),
-        [base_seed, tag](std::size_t i) {
-            return mix64(tag, mix64(base_seed, i));
-        },
-        [&](Pending& pending) {
-            dispatch_items(pending,
-                           [eval, base](const EvalRequest& request,
-                                        std::size_t idx) {
-                               Rng item_rng = base.child(idx);
-                               return (*eval)(request, item_rng);
-                           });
-        });
-}
-
-Engine::Ticket Engine::submit(EvalBatch batch, StochasticBatchKernelFn kernel,
-                              Rng& rng) {
-    // Stream and salt derivation must match the scalar stochastic overload
-    // exactly: item i (batch index) gets base.child(i), whichever chunk it
-    // lands in.
-    const Rng base = rng.child(rng.engine()());
-    const std::uint64_t base_seed = base.seed();
-    const std::uint64_t tag = batch.tag;
-    auto eval = std::make_shared<StochasticBatchKernelFn>(std::move(kernel));
-    return submit_impl(
-        std::move(batch),
-        [base_seed, tag](std::size_t i) {
-            return mix64(tag, mix64(base_seed, i));
-        },
-        [&](Pending& pending) {
-            dispatch_chunks(
-                pending,
-                [eval, base](const std::vector<const EvalRequest*>& reqs,
-                             std::span<const std::size_t> batch_indices) {
-                    std::vector<Rng> rngs;
-                    rngs.reserve(batch_indices.size());
-                    for (std::size_t idx : batch_indices)
-                        rngs.push_back(base.child(idx));
-                    return (*eval)(reqs, rngs);
-                });
-        });
+Engine::Ticket Engine::submit(EvalBatch batch, ChunkKernelFn kernel, Rng& rng) {
+    return enqueue(std::move(batch), std::move(kernel), &rng);
 }
 
 std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const KernelFn& kernel) {
+                                         const ChunkKernelFn& kernel) {
     return wait(submit(std::move(batch), kernel));
 }
 
 std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const BatchKernelFn& kernel) {
-    return wait(submit(std::move(batch), kernel));
-}
-
-std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const StochasticKernelFn& kernel,
-                                         Rng& rng) {
-    return wait(submit(std::move(batch), kernel, rng));
-}
-
-std::vector<EvalResult> Engine::evaluate(EvalBatch batch,
-                                         const StochasticBatchKernelFn& kernel,
+                                         const ChunkKernelFn& kernel,
                                          Rng& rng) {
     return wait(submit(std::move(batch), kernel, rng));
 }

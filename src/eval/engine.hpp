@@ -5,19 +5,23 @@
 /// All repeated-testbench workloads of the Fig. 3 flow - GA populations,
 /// per-Pareto-point Monte Carlo, corner sweeps, sensitivity probes,
 /// verification - submit EvalBatches here instead of hand-rolling their own
-/// ThreadPool loops. The engine owns:
+/// ThreadPool loops. Every batch is deterministic or stochastic and runs
+/// through one kernel shape, ChunkKernelFn, on one chunked dispatch path.
+/// The engine owns:
 ///
-///  * scheduling: misses are dispatched on a thread pool (the process-wide
-///    pool by default, or a private pool of `threads` workers). submit()
-///    enqueues a batch and returns a Ticket immediately, so misses from
-///    several batches stream onto the pool together (overlapped Monte Carlo
-///    stages); wait() retires batches strictly in submission order.
-///    evaluate() is submit() + wait() in one call;
-///  * determinism: stochastic kernels receive per-item RNG child streams
-///    derived exactly like the original Monte Carlo runner
+///  * scheduling: misses are split into worker-sized chunks and dispatched
+///    on a thread pool (the process-wide pool by default, or a private pool
+///    of `threads` workers). submit() enqueues a batch and returns a Ticket
+///    immediately, so misses from several batches stream onto the pool
+///    together (overlapped Monte Carlo stages); wait() retires batches
+///    strictly in submission order. evaluate() is submit() + wait() in one
+///    call;
+///  * determinism: a stochastic batch's kernel receives per-item RNG child
+///    streams derived exactly like the original Monte Carlo runner
 ///    (base = rng.child(rng.engine()()), item i gets base.child(i)) at
 ///    submission time, so results are bit-identical for any thread count
-///    and identical between the blocking and async paths;
+///    (hence any chunking) and identical between the blocking and async
+///    paths;
 ///  * memoisation: an LRU cache keyed bit-exactly on (params, process key,
 ///    batch tag / stream seed) serves repeated points - GA elites, repeated
 ///    corner sweeps, sensitivity probes on archived designs. Lookups happen
@@ -62,25 +66,17 @@
 
 namespace ypm::eval {
 
-/// Deterministic kernel: same request, same values, every call.
+/// The engine's one kernel shape: evaluates a chunk of requests at once and
+/// returns one value vector per request. `rngs` is empty for a
+/// deterministic batch; for a stochastic batch rngs[k] is the child stream
+/// of requests[k] (base.child(batch index), see Engine::submit). Rows must
+/// be element-wise independent of the chunking, which depends on the worker
+/// count.
+using ChunkKernelFn = std::function<std::vector<std::vector<double>>(
+    std::span<const EvalRequest* const> requests, std::span<Rng> rngs)>;
+
+/// Scalar deterministic kernel, accepted only by the evaluate() adapter.
 using KernelFn = std::function<std::vector<double>(const EvalRequest&)>;
-
-/// Stochastic kernel: consumes the per-item child stream (Monte Carlo).
-using StochasticKernelFn =
-    std::function<std::vector<double>(const EvalRequest&, Rng&)>;
-
-/// Chunk kernel: evaluates a group of requests at once. Must return one
-/// value vector per request, element-wise identical to evaluating each
-/// request alone (chunk boundaries depend on the worker count).
-using BatchKernelFn = std::function<std::vector<std::vector<double>>(
-    const std::vector<const EvalRequest*>&)>;
-
-/// Stochastic chunk kernel: a group of requests with one RNG child stream
-/// per request (rngs[k] belongs to requests[k], derived exactly as the
-/// scalar stochastic path derives item streams). Element-wise identical to
-/// the scalar path for any chunking.
-using StochasticBatchKernelFn = std::function<std::vector<std::vector<double>>(
-    const std::vector<const EvalRequest*>&, std::span<Rng>)>;
 
 struct EngineConfig {
     bool parallel = true;       ///< dispatch misses on the thread pool
@@ -131,28 +127,18 @@ public:
         std::shared_ptr<Pending> pending_;
     };
 
-    /// Enqueue a batch through a deterministic kernel; misses start
-    /// evaluating on the pool immediately, the call returns without
-    /// blocking. The kernel is copied; anything it captures by reference
-    /// must outlive the batch's retirement.
-    [[nodiscard]] Ticket submit(EvalBatch batch, KernelFn kernel)
+    /// Enqueue a deterministic batch: misses start evaluating on the pool
+    /// in worker-sized chunks, the call returns without blocking. The
+    /// kernel sees an empty RNG span. It is copied; anything it captures by
+    /// reference must outlive the batch's retirement.
+    [[nodiscard]] Ticket submit(EvalBatch batch, ChunkKernelFn kernel)
         YPM_EXCLUDES(mutex_);
 
-    /// Enqueue a batch through a chunk kernel (moo::Problem::evaluate_batch
-    /// adapters). Misses are split into worker-sized chunks.
-    [[nodiscard]] Ticket submit(EvalBatch batch, BatchKernelFn kernel)
-        YPM_EXCLUDES(mutex_);
-
-    /// Enqueue a batch through a stochastic kernel. Advances `rng` once at
-    /// submission (so successive submissions differ, in submission order)
-    /// and hands item i the deterministic child stream base.child(i).
-    [[nodiscard]] Ticket submit(EvalBatch batch, StochasticKernelFn kernel,
-                                Rng& rng) YPM_EXCLUDES(mutex_);
-
-    /// Enqueue a batch through a stochastic chunk kernel (the Monte Carlo
-    /// prototype-reuse path). Streams and salts are derived exactly as the
-    /// scalar stochastic overload.
-    [[nodiscard]] Ticket submit(EvalBatch batch, StochasticBatchKernelFn kernel,
+    /// Enqueue a stochastic batch. Advances `rng` once at submission (so
+    /// successive submissions differ, in submission order) and hands the
+    /// item at batch index i the stream base.child(i), whichever chunk it
+    /// lands in.
+    [[nodiscard]] Ticket submit(EvalBatch batch, ChunkKernelFn kernel,
                                 Rng& rng) YPM_EXCLUDES(mutex_);
 
     /// Block until `ticket`'s batch (and every batch submitted before it)
@@ -166,27 +152,34 @@ public:
     [[nodiscard]] std::vector<EvalResult> wait(Ticket ticket)
         YPM_EXCLUDES(retire_mutex_, mutex_);
 
-    /// Evaluate a batch through a deterministic kernel (submit + wait).
-    /// Taking the batch by value lets rvalue callers move it in for free;
-    /// lvalue callers pay the same one copy the submit path needs anyway.
+    /// Evaluate a deterministic batch (submit + wait). Taking the batch by
+    /// value lets rvalue callers move it in for free; lvalue callers pay the
+    /// same one copy the submit path needs anyway.
+    [[nodiscard]] std::vector<EvalResult>
+    evaluate(EvalBatch batch, const ChunkKernelFn& kernel)
+        YPM_EXCLUDES(retire_mutex_, mutex_);
+
+    /// Evaluate a stochastic batch (submit + wait).
+    [[nodiscard]] std::vector<EvalResult>
+    evaluate(EvalBatch batch, const ChunkKernelFn& kernel, Rng& rng)
+        YPM_EXCLUDES(retire_mutex_, mutex_);
+
+    /// Scalar adapter: loops `kernel` over each chunk, then takes the chunk
+    /// path. Results and counters equal the equivalent chunk kernel's.
     [[nodiscard]] std::vector<EvalResult>
     evaluate(EvalBatch batch, const KernelFn& kernel)
-        YPM_EXCLUDES(retire_mutex_, mutex_);
-
-    /// Evaluate a batch through a chunk kernel (submit + wait).
-    [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const BatchKernelFn& kernel)
-        YPM_EXCLUDES(retire_mutex_, mutex_);
-
-    /// Evaluate a batch through a stochastic kernel (submit + wait).
-    [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const StochasticKernelFn& kernel, Rng& rng)
-        YPM_EXCLUDES(retire_mutex_, mutex_);
-
-    /// Evaluate a batch through a stochastic chunk kernel (submit + wait).
-    [[nodiscard]] std::vector<EvalResult>
-    evaluate(EvalBatch batch, const StochasticBatchKernelFn& kernel, Rng& rng)
-        YPM_EXCLUDES(retire_mutex_, mutex_);
+        YPM_EXCLUDES(retire_mutex_, mutex_) {
+        return evaluate(
+            std::move(batch),
+            ChunkKernelFn([&kernel](std::span<const EvalRequest* const> reqs,
+                                    std::span<Rng>) {
+                std::vector<std::vector<double>> rows;
+                rows.reserve(reqs.size());
+                for (const EvalRequest* request : reqs)
+                    rows.push_back(kernel(*request));
+                return rows;
+            }));
+    }
 
     /// Snapshot of the ledger (copied under the engine lock: retirement on
     /// a waiting thread mutates the counters, so a reference would race).
@@ -201,23 +194,12 @@ public:
     void clear_cache() { cache_.clear(); }
 
 private:
-    using SaltFn = std::function<std::uint64_t(std::size_t)>;
-    /// Starts the miss evaluation: either launches an async pool job on the
-    /// pending block or (serial engines) runs inline, capturing any error.
-    using DispatchFn = std::function<void(Pending&)>;
-    /// Chunk-kernel adapter: gather each chunk's requests (plus their batch
-    /// indices, for RNG provisioning), evaluate, arity-check and scatter.
-    using ChunkEvalFn = std::function<std::vector<std::vector<double>>(
-        const std::vector<const EvalRequest*>&, std::span<const std::size_t>)>;
-    /// Scalar-kernel adapter: evaluate one request (idx = batch index).
-    using ItemEvalFn =
-        std::function<std::vector<double>(const EvalRequest&, std::size_t)>;
-
-    [[nodiscard]] Ticket submit_impl(EvalBatch batch, const SaltFn& salt_of,
-                                     const DispatchFn& dispatch)
-        YPM_EXCLUDES(mutex_);
-    void dispatch_items(Pending& pending, ItemEvalFn eval_item);
-    void dispatch_chunks(Pending& pending, ChunkEvalFn eval_chunk);
+    /// The one submission body: `rng` is null for a deterministic batch.
+    [[nodiscard]] Ticket enqueue(EvalBatch batch, ChunkKernelFn kernel,
+                                 Rng* rng) YPM_EXCLUDES(mutex_);
+    /// Start the misses in worker-sized chunks: an async pool job on the
+    /// pending block, or (serial engines) inline, capturing any error.
+    void dispatch_chunks(Pending& pending);
     /// Retire the oldest pending batch: wait for its jobs, then apply its
     /// ledger/cache/alias updates. The "caller holds retire_mutex_ but NOT
     /// mutex_" lock-order contract is compiler-checked: the positive

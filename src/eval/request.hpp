@@ -56,24 +56,27 @@ struct EvalBatch {
     [[nodiscard]] bool empty() const { return items.empty(); }
 };
 
+/// The one row-failure predicate (engine ledger and mc::McResult): a row
+/// failed when it carries a NaN (the moo::Problem contract) or is empty (a
+/// kernel that signals failure by returning no values).
+[[nodiscard]] inline bool row_failed(const std::vector<double>& values) {
+    if (values.empty()) return true;
+    for (double v : values)
+        if (std::isnan(v)) return true;
+    return false;
+}
+
 /// One evaluated point. NaN entries mark a failed evaluation (simulator
 /// non-convergence), matching the moo::Problem contract.
 struct EvalResult {
     std::vector<double> values;
     bool from_cache = false; ///< served from the LRU or within-batch dedup
-    /// Explicit failure flag, set by the engine when the fresh evaluation
-    /// failed and *propagated* to dedup aliases and cache hits of that
-    /// point. Carrying the flag alongside the values means a failure stays
-    /// a failure even for kernels whose failure rows are empty rather than
-    /// NaN-filled (which the NaN scan alone cannot see).
+    /// Explicit failure flag, set by the engine from row_failed() on the
+    /// fresh evaluation and *propagated* to dedup aliases and cache hits of
+    /// that point.
     bool failure = false;
 
-    [[nodiscard]] bool failed() const {
-        if (failure) return true;
-        for (double v : values)
-            if (std::isnan(v)) return true;
-        return false;
-    }
+    [[nodiscard]] bool failed() const { return failure || row_failed(values); }
 };
 
 } // namespace ypm::eval

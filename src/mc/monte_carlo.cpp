@@ -1,18 +1,8 @@
 #include "mc/monte_carlo.hpp"
 
-#include <cmath>
-
 #include "util/error.hpp"
 
 namespace ypm::mc {
-
-namespace {
-bool row_failed(const std::vector<double>& row) {
-    for (double v : row)
-        if (std::isnan(v)) return true;
-    return false;
-}
-} // namespace
 
 void McResult::finalize() {
     finalized_ = false;
@@ -24,7 +14,7 @@ void McResult::ensure_finalized() const {
     failure_mask_.assign(rows.size(), 0);
     failed_ = 0;
     for (std::size_t i = 0; i < rows.size(); ++i) {
-        failure_mask_[i] = row_failed(rows[i]) ? 1 : 0;
+        failure_mask_[i] = eval::row_failed(rows[i]) ? 1 : 0;
         if (failure_mask_[i]) ++failed_;
     }
     finalized_ = true;
@@ -66,7 +56,8 @@ VariationMetrics McResult::column_variation(std::size_t col) const {
 namespace {
 
 /// The shared sampling discipline: a non-cacheable one-shot batch with the
-/// sample index as process key.
+/// sample index as process key (distinct streams mean a sample never
+/// repeats, so there is nothing to memoise).
 eval::EvalBatch sample_batch(std::size_t samples) {
     eval::EvalBatch batch;
     batch.items.resize(samples);
@@ -90,18 +81,16 @@ McResult collect_rows(std::vector<eval::EvalResult> evals) {
 
 McResult run_monte_carlo(eval::Engine& engine, const McConfig& config, Rng& rng,
                          const SampleFn& fn) {
-    if (config.samples == 0)
-        throw InvalidInputError("run_monte_carlo: need >= 1 sample");
-
-    // One-shot stochastic samples: distinct streams mean a point never
-    // repeats within a run, so keep them out of the memoisation cache.
-    return collect_rows(engine.evaluate(
-        sample_batch(config.samples),
-        eval::StochasticKernelFn(
-            [&fn](const eval::EvalRequest& request, Rng& sample_rng) {
-                return fn(request.process_key, sample_rng);
-            }),
-        rng));
+    return run_monte_carlo(
+        engine, config, rng,
+        ChunkSampleFn(
+            [&fn](std::span<const std::size_t> ids, std::span<Rng> rngs) {
+                std::vector<std::vector<double>> rows;
+                rows.reserve(ids.size());
+                for (std::size_t k = 0; k < ids.size(); ++k)
+                    rows.push_back(fn(ids[k], rngs[k]));
+                return rows;
+            }));
 }
 
 McResult run_monte_carlo(eval::Engine& engine, const McConfig& config, Rng& rng,
@@ -119,8 +108,8 @@ McTicket submit_monte_carlo(eval::Engine& engine, const McConfig& config,
     // after the submitting scope has moved on to the next Pareto point.
     return McTicket{engine.submit(
         std::move(batch),
-        eval::StochasticBatchKernelFn(
-            [fn](const std::vector<const eval::EvalRequest*>& requests,
+        eval::ChunkKernelFn(
+            [fn](std::span<const eval::EvalRequest* const> requests,
                  std::span<Rng> rngs) {
                 std::vector<std::size_t> ids;
                 ids.reserve(requests.size());

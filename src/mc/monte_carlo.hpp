@@ -4,11 +4,11 @@
 ///
 /// The runner owns only the sampling discipline: N samples, each evaluated
 /// with an independent deterministic RNG child stream, optionally in
-/// parallel, with failed samples (NaN performances) tracked separately so
-/// convergence failures degrade yield instead of silently vanishing.
-/// Scheduling and accounting are delegated to the shared evaluation engine;
-/// the legacy overload spins up a private engine for callers that do not
-/// keep a flow-wide ledger.
+/// parallel, with failed samples (NaN or empty rows, eval::row_failed)
+/// tracked separately so convergence failures degrade yield instead of
+/// silently vanishing. Scheduling and accounting are delegated to the shared
+/// evaluation engine's stochastic chunk path; the legacy overload spins up a
+/// private engine for callers that do not keep a flow-wide ledger.
 
 #include <functional>
 #include <span>
@@ -26,7 +26,7 @@ struct McConfig {
 };
 
 struct McResult {
-    /// rows[i] = performance vector of sample i (may contain NaN on failure)
+    /// rows[i] = performance vector of sample i (NaN or empty on failure)
     std::vector<std::vector<double>> rows;
 
     /// Scan rows once, recording the per-row failure mask and the failure
@@ -36,7 +36,8 @@ struct McResult {
     /// otherwise keep serving the stale mask).
     void finalize();
 
-    /// Samples with any NaN performance. Finalises on first access.
+    /// Failed samples (eval::row_failed: any NaN, or no values at all - the
+    /// same predicate the engine ledger charges). Finalises on first access.
     [[nodiscard]] std::size_t failed() const;
 
     /// Per-row failure mask (1 = failed). Finalises on first access.
@@ -64,26 +65,29 @@ private:
 };
 
 /// Sample kernel: fn(sample_index, rng) -> performance row. Must be
-/// thread-safe and return the same arity every call.
+/// thread-safe and return the same arity every call. A caller-facing
+/// convenience only: the runner loops it over each chunk and takes the
+/// ChunkSampleFn path, so both forms give identical rows.
 using SampleFn = std::function<std::vector<double>(std::size_t, Rng&)>;
 
 /// Chunk sample kernel: rows for a group of samples at once; sample_ids[k]
 /// is the Monte Carlo sample index and rngs[k] its child stream (derived
-/// exactly as the scalar path derives them). Kernels that amortise setup
-/// across the chunk (shared testbench prototypes) use this form; results
-/// must stay element-wise identical to the scalar SampleFn path.
+/// as eval::Engine::submit derives them: the batch's base stream's child at
+/// the sample index). Kernels that amortise setup across the chunk (shared
+/// testbench prototypes) use this form; rows must not depend on the
+/// chunking.
 using ChunkSampleFn = std::function<std::vector<std::vector<double>>(
     std::span<const std::size_t>, std::span<Rng>)>;
 
 /// Evaluate `fn` for each sample through a shared engine (one ledger across
-/// the whole flow). Advances `rng` once; bit-identical for any thread count.
+/// the whole flow): a loop over each chunk of the overload below. Advances
+/// `rng` once; bit-identical for any thread count.
 [[nodiscard]] McResult run_monte_carlo(eval::Engine& engine,
                                        const McConfig& config, Rng& rng,
                                        const SampleFn& fn);
 
 /// Chunked variant: samples are dispatched to `fn` in worker-sized groups
-/// through the engine's stochastic chunk path. Bit-identical to the scalar
-/// overload when the kernel honours the ChunkSampleFn contract.
+/// through the engine's stochastic chunk path.
 [[nodiscard]] McResult run_monte_carlo(eval::Engine& engine,
                                        const McConfig& config, Rng& rng,
                                        const ChunkSampleFn& fn);

@@ -1,6 +1,7 @@
 // Dedicated suite for the engine's async streaming dispatch: submit()/wait()
 // must be bit-identical to evaluate() - results, cache behaviour and ledger
-// counters - for all four kernel kinds, with the cache on and off; plus the
+// counters - for both batch kinds (deterministic and stochastic), with the
+// cache on and off and with tracing on and off; plus the
 // ticket discipline (in-order retirement, out-of-order waits, error
 // delivery, misuse) and the overlapped Monte Carlo entry points.
 
@@ -63,6 +64,51 @@ std::vector<double> fail_kernel(const EvalRequest& r) {
     return toy_kernel(r);
 }
 
+/// Chunk kernel applying a per-request row function to each request.
+template <typename RowFn>
+ChunkKernelFn per_request(RowFn row) {
+    return [row](std::span<const EvalRequest* const> requests, std::span<Rng>) {
+        std::vector<std::vector<double>> rows;
+        rows.reserve(requests.size());
+        for (const EvalRequest* r : requests) rows.push_back(row(*r));
+        return rows;
+    };
+}
+
+/// The engine's two batch kinds. Deterministic batches run fail_kernel;
+/// stochastic ones draw from each request's child stream.
+enum class Kind { deterministic, stochastic };
+
+ChunkKernelFn kernel_for(Kind kind) {
+    if (kind == Kind::deterministic) return per_request(fail_kernel);
+    return [](std::span<const EvalRequest* const> reqs, std::span<Rng> rngs) {
+        std::vector<std::vector<double>> rows;
+        rows.reserve(reqs.size());
+        for (std::size_t k = 0; k < reqs.size(); ++k)
+            rows.push_back(
+                {rngs[k].gauss(reqs[k]->params[0], 1.0), rngs[k].uniform01()});
+        return rows;
+    };
+}
+
+/// Runs batch_sequence() through `engine`: blocking (evaluate) or async
+/// (submit + wait), stochastic batches from one fixed-seed parent stream.
+std::vector<std::vector<EvalResult>> run_sequence(Engine& engine, Kind kind,
+                                                  bool async) {
+    const ChunkKernelFn kernel = kernel_for(kind);
+    Rng rng(13);
+    std::vector<std::vector<EvalResult>> out;
+    for (const EvalBatch& batch : batch_sequence()) {
+        if (kind == Kind::deterministic)
+            out.push_back(async ? engine.wait(engine.submit(batch, kernel))
+                                : engine.evaluate(batch, kernel));
+        else
+            out.push_back(async ? engine.wait(engine.submit(batch, kernel, rng))
+                                : engine.evaluate(batch, kernel, rng));
+    }
+    return out;
+}
+
 /// Bit-identical rows: memcmp over the double bit patterns, so NaN failure
 /// sentinels compare equal to themselves (the equivalence criterion is
 /// bitwise, not IEEE ==).
@@ -103,85 +149,25 @@ EngineConfig config_with_cache(bool cache) {
     return config;
 }
 
-// --------------------------------------------------- four kernel kinds
+// ------------------------------------------------------ two batch kinds
 
-TEST(AsyncEquivalence, DeterministicKernel) {
+void expect_async_matches_blocking(Kind kind) {
     for (bool cache : {true, false}) {
         Engine blocking(config_with_cache(cache));
         Engine async(config_with_cache(cache));
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(
-                blocking.evaluate(batch, KernelFn(fail_kernel)));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(
-                async.wait(async.submit(batch, KernelFn(fail_kernel))));
+        const auto blocking_results = run_sequence(blocking, kind, false);
+        const auto async_results = run_sequence(async, kind, true);
         expect_same_results(blocking_results, async_results);
         expect_same_counters(blocking.counters(), async.counters());
     }
 }
 
-TEST(AsyncEquivalence, ChunkKernel) {
-    const auto chunk_kernel =
-        BatchKernelFn([](const std::vector<const EvalRequest*>& reqs) {
-            std::vector<std::vector<double>> out;
-            out.reserve(reqs.size());
-            for (const auto* r : reqs) out.push_back(fail_kernel(*r));
-            return out;
-        });
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(blocking.evaluate(batch, chunk_kernel));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(async.wait(async.submit(batch, chunk_kernel)));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
-    }
+TEST(AsyncEquivalence, DeterministicBatch) {
+    expect_async_matches_blocking(Kind::deterministic);
 }
 
-TEST(AsyncEquivalence, StochasticKernel) {
-    const auto kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        Rng r1(42), r2(42);
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(blocking.evaluate(batch, kernel, r1));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(async.wait(async.submit(batch, kernel, r2)));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
-    }
-}
-
-TEST(AsyncEquivalence, StochasticChunkKernel) {
-    const auto kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> out;
-            out.reserve(reqs.size());
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                out.push_back({rngs[k].gauss(reqs[k]->params[0], 1.0),
-                               rngs[k].uniform01()});
-            return out;
-        });
-    for (bool cache : {true, false}) {
-        Engine blocking(config_with_cache(cache));
-        Engine async(config_with_cache(cache));
-        Rng r1(13), r2(13);
-        std::vector<std::vector<EvalResult>> blocking_results, async_results;
-        for (const EvalBatch& batch : batch_sequence())
-            blocking_results.push_back(blocking.evaluate(batch, kernel, r1));
-        for (const EvalBatch& batch : batch_sequence())
-            async_results.push_back(async.wait(async.submit(batch, kernel, r2)));
-        expect_same_results(blocking_results, async_results);
-        expect_same_counters(blocking.counters(), async.counters());
-    }
+TEST(AsyncEquivalence, StochasticBatch) {
+    expect_async_matches_blocking(Kind::stochastic);
 }
 
 // ------------------------------------------------- tracing bit-identity
@@ -189,17 +175,16 @@ TEST(AsyncEquivalence, StochasticChunkKernel) {
 /// Runs the batch sequence twice on fresh engines - tracing off, then on -
 /// and requires bit-identical results and ledger counters. Spans and
 /// metrics are observational only; this is that contract's enforcement
-/// point, exercised for every kernel kind.
-template <typename RunFn>
-void expect_tracing_invariant(RunFn run) {
+/// point, exercised for both batch kinds.
+void expect_tracing_invariant(Kind kind) {
     obs::Tracer::global().clear();
     ASSERT_FALSE(obs::Tracer::enabled());
     Engine plain(config_with_cache(true));
-    const auto untraced = run(plain);
+    const auto untraced = run_sequence(plain, kind, true);
 
     obs::Tracer::set_enabled(true);
     Engine traced(config_with_cache(true));
-    const auto traced_results = run(traced);
+    const auto traced_results = run_sequence(traced, kind, true);
     obs::Tracer::set_enabled(false);
 
     // Spans were actually recorded - the invariant is not vacuous.
@@ -208,61 +193,12 @@ void expect_tracing_invariant(RunFn run) {
     expect_same_counters(plain.counters(), traced.counters());
 }
 
-TEST(TracingBitIdentity, DeterministicKernel) {
-    expect_tracing_invariant([](Engine& e) {
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, KernelFn(fail_kernel))));
-        return out;
-    });
+TEST(TracingBitIdentity, DeterministicBatch) {
+    expect_tracing_invariant(Kind::deterministic);
 }
 
-TEST(TracingBitIdentity, ChunkKernel) {
-    const auto kernel =
-        BatchKernelFn([](const std::vector<const EvalRequest*>& reqs) {
-            std::vector<std::vector<double>> rows;
-            rows.reserve(reqs.size());
-            for (const auto* r : reqs) rows.push_back(fail_kernel(*r));
-            return rows;
-        });
-    expect_tracing_invariant([&kernel](Engine& e) {
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, kernel)));
-        return out;
-    });
-}
-
-TEST(TracingBitIdentity, StochasticKernel) {
-    const auto kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    expect_tracing_invariant([&kernel](Engine& e) {
-        Rng rng(42);
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, kernel, rng)));
-        return out;
-    });
-}
-
-TEST(TracingBitIdentity, StochasticChunkKernel) {
-    const auto kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> rows;
-            rows.reserve(reqs.size());
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                rows.push_back({rngs[k].gauss(reqs[k]->params[0], 1.0),
-                                rngs[k].uniform01()});
-            return rows;
-        });
-    expect_tracing_invariant([&kernel](Engine& e) {
-        Rng rng(13);
-        std::vector<std::vector<EvalResult>> out;
-        for (const EvalBatch& batch : batch_sequence())
-            out.push_back(e.wait(e.submit(batch, kernel, rng)));
-        return out;
-    });
+TEST(TracingBitIdentity, StochasticBatch) {
+    expect_tracing_invariant(Kind::stochastic);
 }
 
 // ----------------------------------------------------- ticket discipline
@@ -271,7 +207,8 @@ TEST(AsyncTickets, ManyBatchesInFlightRetireInSubmissionOrder) {
     Engine engine;
     std::vector<Engine::Ticket> tickets;
     for (std::size_t b = 0; b < 8; ++b)
-        tickets.push_back(engine.submit(toy_batch(32, 10.0 * b), KernelFn(toy_kernel)));
+        tickets.push_back(
+            engine.submit(toy_batch(32, 10.0 * b), per_request(toy_kernel)));
     EXPECT_EQ(engine.in_flight(), 8u);
     for (std::size_t b = 0; b < 8; ++b) {
         const auto results = engine.wait(tickets[b]);
@@ -289,8 +226,8 @@ TEST(AsyncTickets, ManyBatchesInFlightRetireInSubmissionOrder) {
 
 TEST(AsyncTickets, OutOfOrderWaitRetiresEarlierBatchesFirst) {
     Engine engine;
-    auto t1 = engine.submit(toy_batch(16), KernelFn(toy_kernel));
-    auto t2 = engine.submit(toy_batch(16, 50.0), KernelFn(toy_kernel));
+    auto t1 = engine.submit(toy_batch(16), per_request(toy_kernel));
+    auto t2 = engine.submit(toy_batch(16, 50.0), per_request(toy_kernel));
     // Waiting the newer ticket retires the older batch first (ledger and
     // cache updates stay in submission order), then the older ticket's
     // results are still available.
@@ -308,16 +245,16 @@ TEST(AsyncTickets, CacheVisibilityFollowsRetirementOrder) {
     // path; submitting B while A is still in flight deterministically
     // re-evaluates (lookups happen at submission, insertions at retirement).
     Engine sequential;
-    auto a1 = sequential.submit(toy_batch(8), KernelFn(toy_kernel));
+    auto a1 = sequential.submit(toy_batch(8), per_request(toy_kernel));
     (void)sequential.wait(a1);
-    auto a2 = sequential.submit(toy_batch(8), KernelFn(toy_kernel));
+    auto a2 = sequential.submit(toy_batch(8), per_request(toy_kernel));
     (void)sequential.wait(a2);
     EXPECT_EQ(sequential.counters().evaluations, 8u);
     EXPECT_EQ(sequential.counters().cache_hits, 8u);
 
     Engine overlapped;
-    auto b1 = overlapped.submit(toy_batch(8), KernelFn(toy_kernel));
-    auto b2 = overlapped.submit(toy_batch(8), KernelFn(toy_kernel));
+    auto b1 = overlapped.submit(toy_batch(8), per_request(toy_kernel));
+    auto b2 = overlapped.submit(toy_batch(8), per_request(toy_kernel));
     (void)overlapped.wait(b1);
     (void)overlapped.wait(b2);
     EXPECT_EQ(overlapped.counters().evaluations, 16u);
@@ -327,10 +264,11 @@ TEST(AsyncTickets, CacheVisibilityFollowsRetirementOrder) {
 TEST(AsyncTickets, KernelErrorSurfacesAtTheFaultyTicketsWait) {
     Engine engine;
     auto bad = engine.submit(
-        toy_batch(4), BatchKernelFn([](const std::vector<const EvalRequest*>&) {
+        toy_batch(4), ChunkKernelFn([](std::span<const EvalRequest* const>,
+                                       std::span<Rng>) {
             return std::vector<std::vector<double>>{}; // wrong arity
         }));
-    auto good = engine.submit(toy_batch(4, 9.0), KernelFn(toy_kernel));
+    auto good = engine.submit(toy_batch(4, 9.0), per_request(toy_kernel));
     EXPECT_THROW((void)engine.wait(bad), InvalidInputError);
     // The later batch is unaffected by the earlier failure.
     const auto results = engine.wait(good);
@@ -341,10 +279,11 @@ TEST(AsyncTickets, KernelErrorSurfacesAtTheFaultyTicketsWait) {
 TEST(AsyncTickets, ErroredEarlierBatchDoesNotPoisonLaterWait) {
     Engine engine;
     auto bad = engine.submit(
-        toy_batch(4), BatchKernelFn([](const std::vector<const EvalRequest*>&) {
+        toy_batch(4), ChunkKernelFn([](std::span<const EvalRequest* const>,
+                                       std::span<Rng>) {
             return std::vector<std::vector<double>>{};
         }));
-    auto good = engine.submit(toy_batch(4, 9.0), KernelFn(toy_kernel));
+    auto good = engine.submit(toy_batch(4, 9.0), per_request(toy_kernel));
     // Waiting the *later* ticket retires the errored batch on the way; its
     // error stays parked on its own ticket.
     const auto results = engine.wait(good);
@@ -355,7 +294,7 @@ TEST(AsyncTickets, ErroredEarlierBatchDoesNotPoisonLaterWait) {
 TEST(AsyncTickets, TicketMisuseIsRejected) {
     Engine engine;
     EXPECT_THROW((void)engine.wait(Engine::Ticket{}), InvalidInputError);
-    auto ticket = engine.submit(toy_batch(4), KernelFn(toy_kernel));
+    auto ticket = engine.submit(toy_batch(4), per_request(toy_kernel));
     auto copy = ticket;
     (void)engine.wait(ticket);
     EXPECT_THROW((void)engine.wait(copy), InvalidInputError); // consumed
@@ -365,14 +304,12 @@ TEST(AsyncTickets, DestructorDrainsInFlightBatches) {
     std::atomic<int> calls{0};
     {
         Engine engine;
-        auto t1 = engine.submit(toy_batch(64), KernelFn([&calls](const EvalRequest& r) {
-                                    calls.fetch_add(1);
-                                    return toy_kernel(r);
-                                }));
-        auto t2 = engine.submit(toy_batch(64, 7.0), KernelFn([&calls](const EvalRequest& r) {
-                                    calls.fetch_add(1);
-                                    return toy_kernel(r);
-                                }));
+        const auto counting = per_request([&calls](const EvalRequest& r) {
+            calls.fetch_add(1);
+            return toy_kernel(r);
+        });
+        auto t1 = engine.submit(toy_batch(64), counting);
+        auto t2 = engine.submit(toy_batch(64, 7.0), counting);
         (void)t1;
         (void)t2; // dropped without wait(): the engine must drain safely
     }
@@ -382,14 +319,13 @@ TEST(AsyncTickets, DestructorDrainsInFlightBatches) {
 TEST(AsyncTickets, SerialEngineSubmitWaitMatchesBlocking) {
     EngineConfig serial;
     serial.parallel = false;
-    Engine blocking(serial), async(serial);
-    std::vector<std::vector<EvalResult>> a, b;
-    for (const EvalBatch& batch : batch_sequence())
-        a.push_back(blocking.evaluate(batch, KernelFn(fail_kernel)));
-    for (const EvalBatch& batch : batch_sequence())
-        b.push_back(async.wait(async.submit(batch, KernelFn(fail_kernel))));
-    expect_same_results(a, b);
-    expect_same_counters(blocking.counters(), async.counters());
+    for (Kind kind : {Kind::deterministic, Kind::stochastic}) {
+        Engine blocking(serial), async(serial);
+        const auto a = run_sequence(blocking, kind, false);
+        const auto b = run_sequence(async, kind, true);
+        expect_same_results(a, b);
+        expect_same_counters(blocking.counters(), async.counters());
+    }
 }
 
 // --------------------------------------------------- Monte Carlo bridge

@@ -1,7 +1,8 @@
 // Unit tests for src/eval: the unified batched evaluation engine - LRU
 // memoisation, within-batch dedup, deterministic stochastic child streams
-// across thread counts, NaN failure propagation, counters, and equivalence
-// of the scalar / batch / engine paths for moo problems and the MC runner.
+// across thread counts, NaN failure propagation, counters, the one chunk
+// kernel shape (and its scalar adapter), and equivalence of the scalar /
+// batch / engine paths for moo problems and the MC runner.
 
 #include <gtest/gtest.h>
 
@@ -39,6 +40,31 @@ EvalBatch toy_batch(std::size_t n) {
     for (std::size_t i = 0; i < n; ++i)
         batch.add({static_cast<double>(i), 0.5 * static_cast<double>(i)});
     return batch;
+}
+
+/// toy_kernel in the engine's chunk shape.
+std::vector<std::vector<double>>
+toy_chunk(std::span<const EvalRequest* const> reqs, std::span<Rng>) {
+    std::vector<std::vector<double>> out;
+    for (const auto* r : reqs) out.push_back(toy_kernel(*r));
+    return out;
+}
+
+/// Stochastic chunk kernel: {gauss(params[0], 1), uniform} per request.
+std::vector<std::vector<double>>
+gauss_chunk(std::span<const EvalRequest* const> reqs, std::span<Rng> rngs) {
+    std::vector<std::vector<double>> out;
+    for (std::size_t k = 0; k < reqs.size(); ++k)
+        out.push_back(
+            {rngs[k].gauss(reqs[k]->params[0], 1.0), rngs[k].uniform01()});
+    return out;
+}
+
+void expect_same_counters(const EngineCounters& a, const EngineCounters& b) {
+    EXPECT_EQ(a.requests, b.requests);
+    EXPECT_EQ(a.evaluations, b.evaluations);
+    EXPECT_EQ(a.cache_hits, b.cache_hits);
+    EXPECT_EQ(a.failures, b.failures);
 }
 
 // ------------------------------------------------------------------ cache
@@ -106,15 +132,91 @@ TEST(LruCache, RefreshAtCapacityKeepsSizeAndEvictionOrder) {
 
 // ----------------------------------------------------------------- engine
 
-TEST(Engine, BatchMatchesScalarKernel) {
-    Engine engine;
-    const EvalBatch batch = toy_batch(33);
-    const auto results = engine.evaluate(batch, KernelFn(toy_kernel));
-    ASSERT_EQ(results.size(), 33u);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-        const auto direct = toy_kernel(batch.items[i]);
-        EXPECT_EQ(results[i].values, direct);
-        EXPECT_FALSE(results[i].from_cache);
+TEST(Engine, ScalarAdapterMatchesChunkKernel) {
+    // The scalar KernelFn adapter loops the kernel over each chunk: results
+    // and counters equal the equivalent chunk kernel's, and each row equals
+    // a direct kernel call. The batch repeats every point twice (dedup
+    // aliases), and each engine sees it twice (LRU hits).
+    EvalBatch batch = toy_batch(33);
+    for (std::size_t i = 0; i < 33; ++i) batch.items.push_back(batch.items[i]);
+    Engine scalar, chunked;
+    for (int pass = 0; pass < 2; ++pass) {
+        const auto a = scalar.evaluate(batch, KernelFn(toy_kernel));
+        const auto b = chunked.evaluate(batch, ChunkKernelFn(toy_chunk));
+        ASSERT_EQ(a.size(), batch.size());
+        ASSERT_EQ(b.size(), batch.size());
+        for (std::size_t i = 0; i < a.size(); ++i) {
+            EXPECT_EQ(a[i].values, toy_kernel(batch.items[i]));
+            EXPECT_EQ(a[i].values, b[i].values);
+            EXPECT_EQ(a[i].from_cache, b[i].from_cache);
+            EXPECT_EQ(a[i].from_cache, pass > 0 || i >= 33);
+        }
+    }
+    expect_same_counters(scalar.counters(), chunked.counters());
+    EXPECT_EQ(scalar.counters().evaluations, 33u);
+}
+
+TEST(Engine, DeterministicKernelSeesNoRngs) {
+    for (bool parallel : {false, true}) {
+        EngineConfig config;
+        config.parallel = parallel;
+        Engine engine(config);
+        std::atomic<int> with_rngs{0};
+        const auto results = engine.evaluate(
+            toy_batch(40),
+            ChunkKernelFn([&with_rngs](std::span<const EvalRequest* const> reqs,
+                                       std::span<Rng> rngs) {
+                if (!rngs.empty()) ++with_rngs;
+                return toy_chunk(reqs, rngs);
+            }));
+        EXPECT_EQ(results.size(), 40u);
+        EXPECT_EQ(with_rngs.load(), 0);
+    }
+}
+
+TEST(Engine, StochasticStreamsAreBaseChildOfBatchIndex) {
+    // rngs[k] must be base.child(batch index of request k), where base is
+    // drawn from the caller's RNG at submission - on a serial engine and on
+    // private pools of any size, whatever chunk a request lands in.
+    constexpr std::size_t n = 37;
+    EvalBatch batch;
+    for (std::size_t i = 0; i < n; ++i) batch.add({static_cast<double>(i)}, i);
+
+    Rng expected_parent(21);
+    const Rng base = expected_parent.child(expected_parent.engine()());
+
+    for (std::size_t threads : {std::size_t{0}, std::size_t{1}, std::size_t{2},
+                                std::size_t{3}}) {
+        EngineConfig config;
+        config.parallel = threads > 0;
+        config.threads = threads;
+        Engine engine(config);
+        // Each batch index is written by exactly one kernel call.
+        std::vector<std::uint64_t> seeds(n, 0);
+        Rng parent(21);
+        const auto results = engine.evaluate(
+            batch,
+            ChunkKernelFn([&seeds](std::span<const EvalRequest* const> reqs,
+                                   std::span<Rng> rngs) {
+                EXPECT_EQ(rngs.size(), reqs.size());
+                std::vector<std::vector<double>> out;
+                for (std::size_t k = 0; k < reqs.size(); ++k) {
+                    seeds[reqs[k]->process_key] = rngs[k].seed();
+                    out.push_back({rngs[k].uniform01()});
+                }
+                return out;
+            }),
+            parent);
+        // The caller's RNG advanced exactly once (the base draw).
+        EXPECT_EQ(parent.engine(), expected_parent.engine()) << threads;
+        for (std::size_t i = 0; i < n; ++i) {
+            Rng expected = base.child(i);
+            EXPECT_EQ(seeds[i], expected.seed())
+                << "threads " << threads << ", item " << i;
+            EXPECT_EQ(results[i].values,
+                      std::vector<double>{expected.uniform01()})
+                << "threads " << threads << ", item " << i;
+        }
     }
 }
 
@@ -254,9 +356,7 @@ TEST(Engine, DedupAliasOfEmptyRowFailurePropagates) {
 }
 
 TEST(Engine, DeterministicAcrossThreadCounts) {
-    auto kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
+    const auto kernel = ChunkKernelFn(gauss_chunk);
     std::vector<std::vector<EvalResult>> runs;
     for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
         EngineConfig config;
@@ -274,9 +374,7 @@ TEST(Engine, DeterministicAcrossThreadCounts) {
 }
 
 TEST(Engine, SerialAndParallelIdentical) {
-    auto kernel = StochasticKernelFn([](const EvalRequest&, Rng& rng) {
-        return std::vector<double>{rng.uniform01()};
-    });
+    const auto kernel = ChunkKernelFn(gauss_chunk);
     EngineConfig serial;
     serial.parallel = false;
     Engine e1(serial), e2;
@@ -299,93 +397,19 @@ TEST(Engine, LruEvictionForcesReEvaluation) {
     EXPECT_EQ(engine.counters().evaluations, 6u);
 }
 
-TEST(Engine, ChunkKernelMatchesScalar) {
-    Engine engine;
-    const EvalBatch batch = toy_batch(23);
-    const auto scalar = engine.evaluate(batch, KernelFn(toy_kernel));
-    engine.clear_cache();
-    const auto chunked = engine.evaluate(
-        batch, BatchKernelFn([](const std::vector<const EvalRequest*>& reqs) {
-            std::vector<std::vector<double>> out;
-            for (const auto* r : reqs) out.push_back(toy_kernel(*r));
-            return out;
-        }));
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_EQ(chunked[i].values, scalar[i].values);
-}
-
-TEST(Engine, StochasticChunkKernelMatchesScalar) {
-    // The chunked stochastic path must reproduce the scalar stochastic
-    // path sample-for-sample: same child streams, same salts, any chunking.
-    auto scalar_kernel = StochasticKernelFn([](const EvalRequest& r, Rng& rng) {
-        return std::vector<double>{rng.gauss(r.params[0], 1.0), rng.uniform01()};
-    });
-    auto chunk_kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> out;
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                out.push_back({rngs[k].gauss(reqs[k]->params[0], 1.0),
-                               rngs[k].uniform01()});
-            return out;
-        });
-    Engine e1, e2;
-    Rng r1(13), r2(13);
-    const auto scalar = e1.evaluate(toy_batch(48), scalar_kernel, r1);
-    const auto chunked = e2.evaluate(toy_batch(48), chunk_kernel, r2);
-    ASSERT_EQ(chunked.size(), scalar.size());
-    for (std::size_t i = 0; i < scalar.size(); ++i)
-        EXPECT_EQ(chunked[i].values, scalar[i].values) << "item " << i;
-}
-
-TEST(Engine, StochasticChunkKernelThreadCountInvariant) {
-    auto kernel = StochasticBatchKernelFn(
-        [](const std::vector<const EvalRequest*>& reqs, std::span<Rng> rngs) {
-            std::vector<std::vector<double>> out;
-            for (std::size_t k = 0; k < reqs.size(); ++k)
-                out.push_back({rngs[k].uniform01()});
-            return out;
-        });
-    std::vector<std::vector<EvalResult>> runs;
-    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
-        EngineConfig config;
-        config.threads = threads;
-        Engine engine(config);
-        Rng rng(99);
-        runs.push_back(engine.evaluate(toy_batch(64), kernel, rng));
-    }
-    for (std::size_t t = 1; t < runs.size(); ++t)
-        for (std::size_t i = 0; i < runs[0].size(); ++i)
-            EXPECT_EQ(runs[t][i].values, runs[0][i].values)
-                << "thread-count run " << t << ", item " << i;
-}
-
-TEST(Engine, StochasticChunkKernelArityChecked) {
-    EngineConfig config;
-    config.parallel = false;
-    Engine engine(config);
-    Rng rng(1);
-    EXPECT_THROW(
-        (void)engine.evaluate(
-            toy_batch(4),
-            StochasticBatchKernelFn(
-                [](const std::vector<const EvalRequest*>&, std::span<Rng>) {
-                    return std::vector<std::vector<double>>{};
-                }),
-            rng),
-        InvalidInputError);
-}
-
 TEST(Engine, ChunkKernelArityChecked) {
     EngineConfig config;
     config.parallel = false;
     Engine engine(config);
-    EXPECT_THROW(
-        (void)engine.evaluate(
-            toy_batch(4),
-            BatchKernelFn([](const std::vector<const EvalRequest*>&) {
-                return std::vector<std::vector<double>>{};
-            })),
-        InvalidInputError);
+    const auto wrong_arity = ChunkKernelFn(
+        [](std::span<const EvalRequest* const>, std::span<Rng>) {
+            return std::vector<std::vector<double>>{};
+        });
+    EXPECT_THROW((void)engine.evaluate(toy_batch(4), wrong_arity),
+                 InvalidInputError);
+    Rng rng(1);
+    EXPECT_THROW((void)engine.evaluate(toy_batch(4), wrong_arity, rng),
+                 InvalidInputError);
 }
 
 TEST(Engine, EmptyBatchIsANoOp) {

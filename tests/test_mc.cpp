@@ -234,6 +234,30 @@ TEST(McRunner, TracksFailures) {
     EXPECT_EQ(r.column(0).size(), 12u); // failed rows excluded
 }
 
+TEST(McRunner, EmptyRowsAreFailuresLikeTheEngineLedger) {
+    // Regression: McResult used to scan rows for NaN only, so an empty row
+    // passed (and column() threw "column out of range") while the engine
+    // ledger charged it as a failure. Both now share eval::row_failed.
+    auto fn = [](std::size_t i, Rng&) -> std::vector<double> {
+        if (i % 2 == 1) return {};
+        return {static_cast<double>(i)};
+    };
+    McConfig cfg;
+    cfg.samples = 20;
+    eval::Engine engine;
+    Rng rng(3);
+    const McResult r = run_monte_carlo(engine, cfg, rng, fn);
+    EXPECT_EQ(r.failed(), 10u);
+    ASSERT_EQ(r.failure_mask().size(), 20u);
+    for (std::size_t i = 0; i < 20; ++i)
+        EXPECT_EQ(r.failure_mask()[i], i % 2 == 1 ? 1 : 0) << "sample " << i;
+    const std::vector<double> good = r.column(0);
+    ASSERT_EQ(good.size(), 10u);
+    for (std::size_t k = 0; k < good.size(); ++k)
+        EXPECT_EQ(good[k], static_cast<double>(2 * k));
+    EXPECT_EQ(engine.counters().failures, r.failed());
+}
+
 TEST(McRunner, ColumnSummaryGaussian) {
     auto fn = [](std::size_t, Rng& rng) -> std::vector<double> {
         return {rng.gauss(50.0, 0.1)};
