@@ -5,7 +5,7 @@
 //
 //   estimator,scenario,samples,pilot_samples,total_samples,reached_target,
 //   yield,ci_low,ci_high,ci_half_width,ess,ess_per_sample,max_weight_share,
-//   refits,merged_components,components,wall_ms
+//   refits,components,wall_ms
 //
 // scripts/check_matrix.py gates the per-column floors on this artifact in
 // the bench-matrix CI job (IS family vs plain MC on rare_ota, mixture
@@ -80,8 +80,7 @@ void dump_cell(const std::string& estimator, const std::string& scenario,
     if (!appending)
         out << "estimator,scenario,samples,pilot_samples,total_samples,"
                "reached_target,yield,ci_low,ci_high,ci_half_width,ess,"
-               "ess_per_sample,max_weight_share,refits,merged_components,"
-               "components,wall_ms\n";
+               "ess_per_sample,max_weight_share,refits,components,wall_ms\n";
     appending = true;
     const std::size_t total = result.samples_used + result.pilot_samples;
     const double ess_per_sample =
@@ -94,7 +93,7 @@ void dump_cell(const std::string& estimator, const std::string& scenario,
         << ',' << result.estimate.ci_low << ',' << result.estimate.ci_high
         << ',' << result.estimate.half_width() << ',' << result.estimate.ess
         << ',' << ess_per_sample << ',' << result.estimate.max_weight_share
-        << ',' << result.refinements << ',' << result.merged_components << ','
+        << ',' << result.refinements << ','
         << result.proposal.components.size() << ',' << wall_ms << '\n';
 }
 

@@ -96,24 +96,7 @@ FlowResult YieldFlow::run() const {
             throw InvalidInputError(
                 "YieldFlow: yield_specs must be exactly {gain_db, pm_deg}, in "
                 "that order (the OTA yield kernel's column layout)");
-        if (config_.yield_sequential.chunk_samples == 0 ||
-            config_.yield_sequential.max_samples == 0)
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential chunk_samples/max_samples must "
-                "be >= 1");
-        if (!(config_.yield_sequential.pilot_scale > 0.0))
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential.pilot_scale must be > 0");
-        if (config_.yield_sequential.min_samples >
-            config_.yield_sequential.max_samples)
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential.min_samples exceeds max_samples "
-                "(the early stop would be unreachable)");
-        if (!(config_.yield_sequential.shift_fit.defensive_weight >= 0.0 &&
-              config_.yield_sequential.shift_fit.defensive_weight < 1.0))
-            throw InvalidInputError(
-                "YieldFlow: yield_sequential.shift_fit.defensive_weight must "
-                "be in [0, 1)");
+        yield::validate(config_.yield_sequential);
         // Resolve the estimator-zoo selection up front: an unknown name
         // must fail before the expensive MOO/MC stages, not after them.
         if (!config_.yield_estimator.empty())

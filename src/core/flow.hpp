@@ -69,9 +69,9 @@ struct FlowConfig {
     /// Estimator-zoo selection by registry name (yield/estimator.hpp):
     /// when non-empty, the named estimator's configure() specializes
     /// `yield_sequential`'s method knobs before the yield stage runs -
-    /// e.g. "plain_mc", "single_shift", "mixture_ce", "mixture_ce_scale",
-    /// "mixture_merge", "control_variate". Empty keeps `yield_sequential`
-    /// exactly as given (the legacy behaviour). Unknown names throw
+    /// "plain_mc", "single_shift", "mixture_ce" or "mixture_ce_scale".
+    /// Empty keeps `yield_sequential` exactly as given (the legacy
+    /// behaviour). Unknown names throw
     /// ypm::InvalidInputError at flow construction, listing the registry.
     std::string yield_estimator;
     /// Yield-in-the-loop probes (step 2): when `budget` > 0, every WBGA

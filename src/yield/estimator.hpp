@@ -8,11 +8,11 @@
 /// estimator takes a scenario-level base configuration (pilot size, chunk
 /// size, sample caps, CI target - the knobs that belong to the problem) and
 /// specializes the family-defining knobs (proposal form, CE refinement,
-/// scale adaptation, component merging, control variates - the knobs that
-/// belong to the method). This keeps the determinism and inflight-window
-/// invariance guarantees of the driver uniform across the whole zoo, and it
-/// is what lets one conformance suite and one benchmark matrix iterate over
-/// every registered estimator by name.
+/// scale adaptation - the knobs that belong to the method). This keeps the
+/// determinism and inflight-window invariance guarantees of the driver
+/// uniform across the whole zoo, and it is what lets one conformance suite
+/// and one benchmark matrix iterate over every registered estimator by
+/// name.
 ///
 /// Built-in zoo (registered lazily on first registry access):
 ///   plain_mc         - no pilot, nominal proposal: plain Monte Carlo.
@@ -20,16 +20,15 @@
 ///   mixture_ce       - defensive mixture + one cross-entropy mean refit.
 ///   mixture_ce_scale - mixture_ce whose CE refit also learns per-component
 ///                      diagonal variances (ShiftFitConfig::adapt_scale).
-///   mixture_merge    - mixture_ce with Mahalanobis component merging
-///                      (ShiftFitConfig::merge_distance).
-///   control_variate  - single-stage mixture proposal with the regression
-///                      estimator on the exact likelihood ratios
-///                      (ControlVariateOptions, auto beta).
+///
+/// The zoo keeps only members that win at least one column of the
+/// benchmark matrix (bench_yield_matrix); a member that never beats the
+/// others anywhere is deleted, machinery included.
 ///
 /// Adding an estimator: implement YieldEstimator (usually just configure()),
-/// register a factory under a new name, and give it a column floor in
-/// scripts/check_matrix.py - the bench-matrix CI job then gates it on every
-/// scenario automatically.
+/// register a factory under a new name, and add it to ALL_ESTIMATORS (plus
+/// the family lists it belongs to) in scripts/check_matrix.py - the
+/// bench-matrix CI job then gates it on every scenario.
 
 #include <functional>
 #include <memory>

@@ -1,6 +1,7 @@
 #include "yield/sequential.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <utility>
 
@@ -31,6 +32,29 @@ struct YieldMetrics {
 
 } // namespace
 
+void validate(const SequentialConfig& config) {
+    if (config.chunk_samples == 0)
+        throw InvalidInputError("SequentialConfig: chunk_samples must be >= 1");
+    if (config.max_samples == 0)
+        throw InvalidInputError("SequentialConfig: max_samples must be >= 1");
+    if (config.min_samples > config.max_samples)
+        throw InvalidInputError(
+            "SequentialConfig: min_samples exceeds max_samples - the early "
+            "stop would be silently unreachable and every run would burn "
+            "the full sample cap");
+    if (!std::isfinite(config.pilot_scale) || !(config.pilot_scale > 0.0))
+        throw InvalidInputError(
+            "SequentialConfig: pilot_scale must be finite and > 0");
+    const ShiftFitConfig& fit = config.shift_fit;
+    if (!(fit.defensive_weight >= 0.0 && fit.defensive_weight < 1.0))
+        throw InvalidInputError(
+            "SequentialConfig: shift_fit.defensive_weight must be in [0, 1)");
+    if (!(fit.min_scale > 0.0) || !(fit.max_scale >= fit.min_scale))
+        throw InvalidInputError(
+            "SequentialConfig: shift_fit scale clamps must satisfy "
+            "0 < min_scale <= max_scale");
+}
+
 SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
                                              SequentialConfig config,
                                              std::vector<mc::Spec> specs,
@@ -42,29 +66,11 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
         throw InvalidInputError("SequentialYieldRunner: need >= 1 spec");
     if (!factory_)
         throw InvalidInputError("SequentialYieldRunner: null kernel factory");
-    if (config_.chunk_samples == 0)
-        throw InvalidInputError("SequentialYieldRunner: chunk_samples must be >= 1");
-    if (config_.max_samples == 0)
-        throw InvalidInputError("SequentialYieldRunner: max_samples must be >= 1");
-    if (config_.min_samples > config_.max_samples)
-        throw InvalidInputError(
-            "SequentialYieldRunner: min_samples exceeds max_samples - the "
-            "early stop would be silently unreachable and every run would "
-            "burn the full sample cap");
-    if (!(config_.shift_fit.defensive_weight >= 0.0 &&
-          config_.shift_fit.defensive_weight < 1.0))
-        throw InvalidInputError(
-            "SequentialYieldRunner: shift_fit.defensive_weight must be in "
-            "[0, 1)");
+    validate(config_);
     if (config_.inflight == 0) config_.inflight = 1;
     // CE refinement needs u records on the main stage and at least one
     // failing record per refit.
     record_main_u_ = config_.refine_after_chunks > 0 && config_.max_refits > 0;
-    if (config_.control.enabled && record_main_u_)
-        throw InvalidInputError(
-            "SequentialYieldRunner: control-variate estimation is "
-            "incompatible with CE refinement - per-stage moment pooling "
-            "cannot carry the pass-side control term");
     if (!config_.initial_proposal.components.empty()) {
         if (config_.pilot_samples > 0)
             throw InvalidInputError(
@@ -211,10 +217,7 @@ void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
 
 void SequentialYieldRunner::update_estimate() {
     if (stages_.empty()) {
-        // control_variate_yield delegates verbatim to the fail-side
-        // estimator when the control is inert, so this is the one estimate
-        // path for every single-stage configuration.
-        estimate_ = control_variate_yield(flags_, log_weights_, config_.control);
+        estimate_ = weighted_yield_from_flags(flags_, log_weights_);
         return;
     }
     std::vector<WeightedYieldEstimate> all = stages_;
@@ -291,9 +294,8 @@ SequentialYieldResult SequentialYieldRunner::finish() {
     result.stage_estimates = stages_;
     if (!flags_.empty())
         result.stage_estimates.push_back(
-            control_variate_yield(flags_, log_weights_, config_.control));
+            weighted_yield_from_flags(flags_, log_weights_));
     result.refinements = refits_done_;
-    result.merged_components = fit_.merged_components;
     result.shift_pilot_failures = pilot_failures_;
     result.samples_used = retired_samples_;
     result.pilot_samples = pilot_submitted_ ? config_.pilot_samples : 0;

@@ -93,14 +93,6 @@ struct SequentialConfig {
     /// refinement until at least this many failing records accumulated.
     std::size_t refit_min_failures = 8;
     ShiftFitConfig shift_fit; ///< clamp + defensive weight for the fits
-    /// Control-variate refinement of the main-stage estimate (see
-    /// yield/weighted.hpp): regress on the full likelihood ratio, whose
-    /// mean under the proposal is exactly 1. Incompatible with CE
-    /// refinement (refine_after_chunks > 0 with max_refits > 0): stages are
-    /// combined by pooling fail-side moments, which have no representation
-    /// of the pass-side control term - the runner ctor throws on the
-    /// combination rather than silently dropping the control.
-    ControlVariateOptions control;
     /// Warm-start seam: a pre-fitted main-stage proposal (e.g. carried over
     /// from an earlier generation's probe at a nearby design point). Empty
     /// components - the default - leave the seam unset. When set, the run
@@ -112,6 +104,16 @@ struct SequentialConfig {
     /// never bias).
     process::ProposalMixture initial_proposal;
 };
+
+/// The one validator for a SequentialConfig, shared by the runner ctor
+/// and core::YieldFlow's fail-fast block so a bad config is rejected before
+/// anything is simulated. \throws ypm::InvalidInputError on zero
+/// chunk/max samples, min_samples > max_samples (which would silently make
+/// the early stop unreachable and burn the full cap on every run), a
+/// non-finite or non-positive pilot_scale, a shift_fit.defensive_weight
+/// outside [0, 1), or shift_fit scale clamps violating
+/// 0 < min_scale <= max_scale.
+void validate(const SequentialConfig& config);
 
 /// Result of one sequential run.
 struct SequentialYieldResult {
@@ -126,9 +128,6 @@ struct SequentialYieldResult {
     /// `estimate` above is their combination.
     std::vector<WeightedYieldEstimate> stage_estimates;
     std::size_t refinements = 0;    ///< CE refits actually applied
-    /// Components absorbed by Mahalanobis merging in the *last* fit (0 when
-    /// merging is off - see ShiftFitConfig::merge_distance).
-    std::size_t merged_components = 0;
     std::size_t shift_pilot_failures = 0; ///< failing pilot samples behind the fit
     std::size_t samples_used = 0;   ///< main-stage samples in the estimate
     std::size_t pilot_samples = 0;
@@ -153,9 +152,8 @@ public:
     /// \param dimension standardized process-space dimension of the kernel's
     ///        u record (process::SampleShift::dimension of the device count).
     /// \throws ypm::InvalidInputError on an empty spec list, a null factory,
-    ///         zero chunk/max samples, or min_samples > max_samples (which
-    ///         would silently make the early stop unreachable and burn the
-    ///         full cap on every run).
+    ///         a config validate() rejects, or a warm-start proposal set
+    ///         alongside a pilot.
     SequentialYieldRunner(eval::Engine& engine, SequentialConfig config,
                           std::vector<mc::Spec> specs, KernelFactory factory,
                           std::size_t dimension, Rng rng);

@@ -57,12 +57,6 @@ struct ShiftFitConfig {
     /// shrink.
     double min_scale = 0.9;
     double max_scale = 3.0; ///< upper sigma clamp for adapted scales
-    /// Mixture-component merging: when > 0, per-spec components whose
-    /// Mahalanobis distance (under the average of their diagonal variances)
-    /// falls below this threshold are merged - mass-weighted mean and
-    /// variance, summed weight - so specs sharing one failure mode do not
-    /// split the proposal budget into near-duplicate components. 0 disables.
-    double merge_distance = 0.0;
 };
 
 /// Fitted proposal for the main importance-sampling stage.
@@ -86,9 +80,6 @@ struct ShiftFit {
     std::vector<std::size_t> spec_failures;
     /// Samples failing any spec (raw count, unweighted).
     std::size_t pilot_failures = 0;
-    /// Components absorbed by Mahalanobis merging (0 when merging is off or
-    /// nothing overlapped): per-spec centers in, mixture.components out.
-    std::size_t merged_components = 0;
 };
 
 /// Pilot fit from rows of the form {perf_0..perf_{k-1}, log_weight,

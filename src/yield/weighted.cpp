@@ -152,67 +152,6 @@ weighted_yield_from_flags(const std::vector<bool>& pass,
 }
 
 WeightedYieldEstimate
-control_variate_yield(const std::vector<bool>& pass,
-                      const std::vector<double>& log_weights,
-                      const ControlVariateOptions& options) {
-    // Inert control: delegate verbatim so the reduction is bit-identical
-    // (same code path, not a reimplementation that happens to agree).
-    if (!options.enabled || (!options.auto_beta && options.beta == 0.0))
-        return weighted_yield_from_flags(pass, log_weights);
-
-    WeightedYieldEstimate base = weighted_yield_from_flags(pass, log_weights);
-    // Plain MC (w constant at 1): Var(w) = 0, no control variate exists.
-    if (!base.weighted) return base;
-    // Fewer than two observed failures: the fail-side path's Wilson
-    // fallbacks are the honest report; a regression CI from this little
-    // evidence would be spuriously tight.
-    if (base.samples - base.passes < 2) return base;
-
-    const std::size_t n = pass.size();
-    const double nd = static_cast<double>(n);
-    std::vector<double> w(n);
-    double w_sum = 0.0, w2_sum = 0.0, xw_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        w[i] = std::exp(log_weights[i]);
-        w_sum += w[i];
-        w2_sum += w[i] * w[i];
-        if (!pass[i]) xw_sum += w[i] * w[i]; // x_i = w_i on failures
-    }
-    if (!std::isfinite(w_sum) || !std::isfinite(w2_sum))
-        throw NumericalError(
-            "control_variate_yield: likelihood-ratio moment overflow");
-
-    double beta = options.beta;
-    if (options.auto_beta) {
-        const double var_w = w2_sum - w_sum * w_sum / nd;
-        if (!(var_w > 0.0)) return base; // degenerate control
-        const double cov_xw = xw_sum - base.fail_weight_sum * w_sum / nd;
-        beta = cov_xw / var_w;
-    }
-    if (options.max_beta > 0.0)
-        beta = std::clamp(beta, -options.max_beta, options.max_beta);
-    if (beta == 0.0) return base;
-
-    // phat_cv = mean(y) with residuals y_i = x_i - beta * (w_i - 1); the
-    // CI is the delta-method interval on the residual sample variance.
-    double y_sum = 0.0, y2_sum = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        const double x = pass[i] ? 0.0 : w[i];
-        const double y = x - beta * (w[i] - 1.0);
-        y_sum += y;
-        y2_sum += y * y;
-    }
-    base.control_beta = beta;
-    base.yield = std::clamp(1.0 - y_sum / nd, 0.0, 1.0);
-    const double var =
-        std::max(0.0, (y2_sum - y_sum * y_sum / nd) / (nd - 1.0));
-    const double hw = mc::kZ95 * std::sqrt(var / nd);
-    base.ci_low = std::clamp(base.yield - hw, 0.0, 1.0);
-    base.ci_high = std::clamp(base.yield + hw, 0.0, 1.0);
-    return base;
-}
-
-WeightedYieldEstimate
 combine_stage_estimates(const std::vector<WeightedYieldEstimate>& stages) {
     std::vector<const WeightedYieldEstimate*> live;
     live.reserve(stages.size());

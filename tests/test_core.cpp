@@ -214,6 +214,19 @@ TEST(Flow, RejectsMalformedYieldSpecs) {
     bad_dw.yield_sequential.shift_fit.defensive_weight = 1.0;
     EXPECT_THROW((void)YieldFlow(ota, bad_dw).run(), InvalidInputError);
 
+    // The fail-fast block runs the runner's own validator, so every
+    // SequentialConfig error it knows is caught up front - the pilot scale
+    // and the fit's scale clamps included.
+    FlowConfig bad_pilot = cfg;
+    bad_pilot.yield_specs = good_specs;
+    bad_pilot.yield_sequential.pilot_scale = -2.0;
+    EXPECT_THROW((void)YieldFlow(ota, bad_pilot).run(), InvalidInputError);
+    FlowConfig bad_scales = cfg;
+    bad_scales.yield_specs = good_specs;
+    bad_scales.yield_sequential.shift_fit.min_scale = 2.0;
+    bad_scales.yield_sequential.shift_fit.max_scale = 1.0;
+    EXPECT_THROW((void)YieldFlow(ota, bad_scales).run(), InvalidInputError);
+
     // And for a yield-estimator name the registry does not know: the yield
     // stage resolves the name only after the MOO stage, so the fail-fast
     // check up front is what keeps a typo from wasting the whole run.

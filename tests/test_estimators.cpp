@@ -10,14 +10,9 @@
 //    and therefore the whole result, is identical for any streaming window
 //    and across reruns with the same seed;
 //  - home-scenario sanity: every estimator reaches the CI target on the
-//    cheap synthetic bimodal scenario within its cap;
-//  - zero-beta bit-identity: the control-variate estimator with an inert
-//    control is literally the fail-side estimator.
+//    cheap synthetic bimodal scenario within its cap.
 //
-// Plus unit tests for the three newest zoo members' machinery: CE scale
-// adaptation and Mahalanobis component merging in the shift fit, and the
-// control-variate regression math (hand-computed beta, clamping,
-// delegation rules).
+// Plus a unit test for the CE scale adaptation in the shift fit.
 
 #include <gtest/gtest.h>
 
@@ -37,7 +32,6 @@
 #include "yield/scenarios.hpp"
 #include "yield/sequential.hpp"
 #include "yield/shift.hpp"
-#include "yield/weighted.hpp"
 
 namespace {
 
@@ -46,9 +40,8 @@ using namespace ypm;
 // The built-in zoo, spelled out rather than taken from names(): tests may
 // register extra estimators in the shared registry, and the conformance
 // loops must stay deterministic regardless of test order.
-const std::vector<std::string> kBuiltins = {
-    "control_variate", "mixture_ce", "mixture_ce_scale",
-    "mixture_merge",   "plain_mc",   "single_shift"};
+const std::vector<std::string> kBuiltins = {"mixture_ce", "mixture_ce_scale",
+                                            "plain_mc", "single_shift"};
 
 eval::Engine make_engine() {
     eval::EngineConfig config;
@@ -78,6 +71,13 @@ TEST(EstimatorRegistry, KnowsTheBuiltinZoo) {
         EXPECT_EQ(estimator->name(), name);
         EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
     }
+    // And nothing else is built in: every registered name outside the
+    // test-only `test_` prefix is one of kBuiltins, so a zoo member cannot
+    // come back without the conformance loops below running over it.
+    std::vector<std::string> builtin_names;
+    for (const std::string& name : names)
+        if (name.rfind("test_", 0) != 0) builtin_names.push_back(name);
+    EXPECT_EQ(builtin_names, kBuiltins);
 }
 
 TEST(EstimatorRegistry, RejectsUnknownDuplicateAndMalformed) {
@@ -110,16 +110,12 @@ TEST(EstimatorRegistry, MethodKnobsDoNotLeakAcrossEstimators) {
     base.refine_after_chunks = 2;
     base.max_refits = 3;
     base.shift_fit.adapt_scale = true;
-    base.shift_fit.merge_distance = 2.0;
-    base.control.enabled = true;
 
     const auto& registry = yield::EstimatorRegistry::instance();
     const auto plain = registry.create("plain_mc")->configure(base);
     EXPECT_EQ(plain.pilot_samples, 0u);
     EXPECT_EQ(plain.refine_after_chunks, 0u);
     EXPECT_FALSE(plain.shift_fit.adapt_scale);
-    EXPECT_EQ(plain.shift_fit.merge_distance, 0.0);
-    EXPECT_FALSE(plain.control.enabled);
 
     const auto single = registry.create("single_shift")->configure(base);
     EXPECT_FALSE(single.mixture_proposal);
@@ -133,11 +129,6 @@ TEST(EstimatorRegistry, MethodKnobsDoNotLeakAcrossEstimators) {
 
     const auto scale = registry.create("mixture_ce_scale")->configure(base);
     EXPECT_TRUE(scale.shift_fit.adapt_scale);
-    const auto merge = registry.create("mixture_merge")->configure(base);
-    EXPECT_EQ(merge.shift_fit.merge_distance, 2.0);
-    const auto cv = registry.create("control_variate")->configure(base);
-    EXPECT_TRUE(cv.control.enabled);
-    EXPECT_EQ(cv.refine_after_chunks, 0u); // CV never refits (stage mixing)
 }
 
 // ------------------------------------------------------------- conformance
@@ -158,7 +149,6 @@ TEST(EstimatorConformance, CleanSweepReducesToWilson) {
         EXPECT_EQ(r.estimate.yield, plain.estimate.yield) << name;
         EXPECT_EQ(r.estimate.ci_low, plain.estimate.ci_low) << name;
         EXPECT_EQ(r.estimate.ci_high, plain.estimate.ci_high) << name;
-        EXPECT_EQ(r.estimate.control_beta, 0.0) << name;
     }
 }
 
@@ -177,7 +167,6 @@ TEST(EstimatorConformance, InflightInvarianceAndRerunDeterminism) {
         EXPECT_EQ(a.estimate.ci_low, b.estimate.ci_low) << name;
         EXPECT_EQ(a.estimate.ci_high, b.estimate.ci_high) << name;
         EXPECT_EQ(a.estimate.ess, b.estimate.ess) << name;
-        EXPECT_EQ(a.estimate.control_beta, b.estimate.control_beta) << name;
         EXPECT_EQ(a.samples_used, c.samples_used) << name;
         EXPECT_EQ(a.estimate.yield, c.estimate.yield) << name;
         EXPECT_EQ(a.estimate.ci_low, c.estimate.ci_low) << name;
@@ -198,122 +187,7 @@ TEST(EstimatorConformance, ReachesTargetOnSyntheticBimodal) {
     }
 }
 
-TEST(EstimatorConformance, ZeroBetaControlIsBitIdenticalToFailSide) {
-    // The conformance anchor of the CV estimator: a fixed beta of 0 makes
-    // the whole run literally the defensive-mixture fail-side run - same
-    // samples, same estimate bits, no residual CI.
-    const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
-    auto run_with_control = [&](const yield::ControlVariateOptions& options) {
-        eval::Engine engine = make_engine();
-        yield::SequentialConfig config =
-            yield::EstimatorRegistry::instance().create("control_variate")
-                ->configure(sc.config);
-        config.control = options;
-        yield::SequentialYieldRunner runner(engine, config, sc.specs,
-                                            sc.factory, sc.dimension, Rng(73));
-        return runner.run();
-    };
-    yield::ControlVariateOptions zero_beta;
-    zero_beta.enabled = true;
-    zero_beta.auto_beta = false;
-    zero_beta.beta = 0.0;
-    const auto cv = run_with_control(zero_beta);
-    const auto base = run_with_control({}); // control off entirely
-    EXPECT_EQ(cv.samples_used, base.samples_used);
-    EXPECT_EQ(cv.estimate.yield, base.estimate.yield);
-    EXPECT_EQ(cv.estimate.ci_low, base.estimate.ci_low);
-    EXPECT_EQ(cv.estimate.ci_high, base.estimate.ci_high);
-    EXPECT_EQ(cv.estimate.ess, base.estimate.ess);
-    EXPECT_EQ(cv.estimate.control_beta, 0.0);
-    // While the live CV estimator on the same scenario genuinely engages.
-    const auto live = run_estimator(sc, "control_variate");
-    EXPECT_NE(live.estimate.control_beta, 0.0);
-}
-
-// ------------------------------------------------- control-variate algebra
-
-TEST(ControlVariate, DelegatesWheneverInert) {
-    // pass = {F, T, F, T} with weights {2, 0.5, 1, 1}.
-    const std::vector<bool> pass = {false, true, false, true};
-    const std::vector<double> log_w = {std::log(2.0), std::log(0.5), 0.0, 0.0};
-    const auto base = yield::weighted_yield_from_flags(pass, log_w);
-
-    auto expect_delegated = [&](const yield::ControlVariateOptions& options,
-                                const char* what) {
-        const auto est = yield::control_variate_yield(pass, log_w, options);
-        EXPECT_EQ(est.yield, base.yield) << what;
-        EXPECT_EQ(est.ci_low, base.ci_low) << what;
-        EXPECT_EQ(est.ci_high, base.ci_high) << what;
-        EXPECT_EQ(est.control_beta, 0.0) << what;
-    };
-    expect_delegated({}, "disabled");
-    yield::ControlVariateOptions zero_beta;
-    zero_beta.enabled = true;
-    zero_beta.auto_beta = false;
-    zero_beta.beta = 0.0;
-    expect_delegated(zero_beta, "fixed beta 0");
-
-    // All-zero log weights: w is constant, Var(w) = 0, no control exists.
-    yield::ControlVariateOptions on;
-    on.enabled = true;
-    const std::vector<double> zeros(pass.size(), 0.0);
-    const auto unweighted = yield::control_variate_yield(pass, zeros, on);
-    const auto wilson = yield::weighted_yield_from_flags(pass, zeros);
-    EXPECT_FALSE(unweighted.weighted);
-    EXPECT_EQ(unweighted.yield, wilson.yield);
-    EXPECT_EQ(unweighted.control_beta, 0.0);
-
-    // Fewer than two observed failures: the fail-side degenerate-evidence
-    // fallbacks are the safer report.
-    const std::vector<bool> one_fail = {false, true, true, true};
-    const auto one = yield::control_variate_yield(one_fail, log_w, on);
-    const auto one_base = yield::weighted_yield_from_flags(one_fail, log_w);
-    EXPECT_EQ(one.yield, one_base.yield);
-    EXPECT_EQ(one.ci_low, one_base.ci_low);
-    EXPECT_EQ(one.control_beta, 0.0);
-}
-
-TEST(ControlVariate, MatchesHandComputedRegression) {
-    // w = {2, 0.5, 1, 1}, fails at samples 0 and 2, so x = {2, 0, 1, 0}:
-    //   mean(x) = 0.75, mean(w) = 1.125,
-    //   n*Cov(x, w) = 5 - 3*4.5/4   = 1.625,
-    //   n*Var(w)    = 6.25 - 5.0625 = 1.1875,
-    //   beta* = 1.625/1.1875, phat = 0.75 - beta*(1.125 - 1).
-    const std::vector<bool> pass = {false, true, false, true};
-    const std::vector<double> log_w = {std::log(2.0), std::log(0.5), 0.0, 0.0};
-    const double beta = 1.625 / 1.1875;
-    const double phat = 0.75 - beta * 0.125;
-
-    yield::ControlVariateOptions on;
-    on.enabled = true;
-    const auto est = yield::control_variate_yield(pass, log_w, on);
-    EXPECT_TRUE(est.weighted);
-    EXPECT_NEAR(est.control_beta, beta, 1e-12);
-    EXPECT_NEAR(est.yield, 1.0 - phat, 1e-12);
-    // The control shifts the estimate, not the fail-side evidence.
-    const auto base = yield::weighted_yield_from_flags(pass, log_w);
-    EXPECT_EQ(est.ess, base.ess);
-    EXPECT_EQ(est.max_weight_share, base.max_weight_share);
-    EXPECT_EQ(est.fail_weight_sum, base.fail_weight_sum);
-
-    // The beta clamp caps the correction, not the estimate.
-    yield::ControlVariateOptions clamped = on;
-    clamped.max_beta = 0.5;
-    const auto capped = yield::control_variate_yield(pass, log_w, clamped);
-    EXPECT_NEAR(capped.control_beta, 0.5, 1e-12);
-    EXPECT_NEAR(capped.yield, 1.0 - (0.75 - 0.5 * 0.125), 1e-12);
-
-    // A fixed beta is applied as given (still unbiased for any beta).
-    yield::ControlVariateOptions fixed;
-    fixed.enabled = true;
-    fixed.auto_beta = false;
-    fixed.beta = 1.0;
-    const auto manual = yield::control_variate_yield(pass, log_w, fixed);
-    EXPECT_NEAR(manual.control_beta, 1.0, 1e-12);
-    EXPECT_NEAR(manual.yield, 1.0 - (0.75 - 0.125), 1e-12);
-}
-
-// ------------------------------------------------ scale adaptation + merge
+// ------------------------------------------------------ scale adaptation
 
 TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     // One spec, dimension 1, unit weights. Failing records at u = 4 and 6:
@@ -357,69 +231,6 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     bad.max_scale = 1.0;
     EXPECT_THROW((void)yield::refit_shift(rows, specs, 1, bad),
                  InvalidInputError);
-}
-
-TEST(ShiftFitMerge, AbsorbsOverlappingComponentsOnly) {
-    // Two specs over two dimensions; rows are {a, b, log_w, u0, u1}.
-    const std::vector<mc::Spec> specs = {mc::Spec::at_most("a", 3.0),
-                                         mc::Spec::at_most("b", 3.0)};
-    yield::ShiftFitConfig config;
-    config.merge_distance = 1.0;
-
-    // Overlapping failure modes: CoGs at (3.2, 0) and (3.6, 0), unit
-    // variances, so the Mahalanobis distance is 0.4 < 1 and the components
-    // merge into one at the mass-weighted mean - the mixture is nominal + 1.
-    const std::vector<std::vector<double>> close = {
-        {3.2, 0.0, 0.0, 3.2, 0.0}, {0.0, 3.6, 0.0, 3.6, 0.0}};
-    const auto merged = yield::refit_shift(close, specs, 2, config);
-    EXPECT_EQ(merged.merged_components, 1u);
-    ASSERT_EQ(merged.mixture.components.size(), 2u);
-    const auto& comp = merged.mixture.components[1];
-    EXPECT_NEAR(comp.mu[0], 3.4, 1e-12);
-    EXPECT_NEAR(comp.mu[1], 0.0, 1e-12);
-    EXPECT_NEAR(comp.weight, 1.0 - config.defensive_weight, 1e-12);
-
-    // Disjoint modes stay separate components.
-    const std::vector<std::vector<double>> apart = {
-        {4.0, 0.0, 0.0, 3.5, 0.0}, {0.0, 4.0, 0.0, 0.0, 3.5}};
-    const auto kept = yield::refit_shift(apart, specs, 2, config);
-    EXPECT_EQ(kept.merged_components, 0u);
-    EXPECT_EQ(kept.mixture.components.size(), 3u);
-
-    // merge_distance = 0 disables merging even for coincident centers.
-    yield::ShiftFitConfig off;
-    const auto disabled = yield::refit_shift(close, specs, 2, off);
-    EXPECT_EQ(disabled.merged_components, 0u);
-    EXPECT_EQ(disabled.mixture.components.size(), 3u);
-}
-
-TEST(ShiftFitMerge, MomentMatchWidensMergedVariance) {
-    // With scale adaptation on, merging two components with distinct means
-    // must fold the between-mean spread into the merged variance: pooled
-    // E[u^2] minus the merged mean squared, never just an average.
-    const std::vector<mc::Spec> specs = {mc::Spec::at_most("a", 2.0),
-                                         mc::Spec::at_most("b", 2.0)};
-    yield::ShiftFitConfig config;
-    config.adapt_scale = true;
-    config.merge_distance = 3.0;
-    // Spec a fails at u0 = {2.4, 2.6} (mean 2.5), spec b at u0 = {3.4, 3.6}
-    // (mean 3.5); both have within-variance 0.01 -> clamped to min_scale^2.
-    // Merged mean 3.0; merged var = within + between = min^2 + 0.25.
-    const std::vector<std::vector<double>> rows = {{2.4, 0.0, 0.0, 2.4, 0.0},
-                                                   {2.6, 0.0, 0.0, 2.6, 0.0},
-                                                   {0.0, 3.4, 0.0, 3.4, 0.0},
-                                                   {0.0, 3.6, 0.0, 3.6, 0.0}};
-    const auto fit = yield::refit_shift(rows, specs, 2, config);
-    EXPECT_EQ(fit.merged_components, 1u);
-    ASSERT_EQ(fit.mixture.components.size(), 2u);
-    const auto& comp = fit.mixture.components[1];
-    EXPECT_NEAR(comp.mu[0], 3.0, 1e-12);
-    ASSERT_EQ(comp.sigma.size(), 2u);
-    const double expected =
-        std::sqrt(config.min_scale * config.min_scale + 0.25);
-    EXPECT_NEAR(comp.sigma[0], expected, 1e-12);
-    // Dimension 1 never spread: its sigma stays at the min clamp.
-    EXPECT_DOUBLE_EQ(comp.sigma[1], config.min_scale);
 }
 
 // ------------------------------------------------------ custom registration

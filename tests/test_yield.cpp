@@ -1094,6 +1094,36 @@ TEST(SequentialYield, RunnerValidatesConfig) {
                                               synthetic_factory(0.0, 1.0), 1,
                                               Rng(1)),
                  InvalidInputError);
+    // Regression: a non-positive or non-finite pilot scale and inverted or
+    // non-positive fit scale clamps used to be accepted at construction;
+    // the run then simulated the whole pilot before failing (a zero or
+    // negative pilot scale surfaced as a misleading "non-finite log
+    // weight"). All of them are config errors, rejected before sampling.
+    const auto rejects = [&](const yield::SequentialConfig& config) {
+        EXPECT_THROW(yield::SequentialYieldRunner(engine, config, specs,
+                                                  synthetic_factory(0.0, 1.0),
+                                                  1, Rng(1)),
+                     InvalidInputError);
+        EXPECT_THROW(yield::validate(config), InvalidInputError);
+    };
+    for (const double scale :
+         {0.0, -2.0, std::numeric_limits<double>::infinity(),
+          std::numeric_limits<double>::quiet_NaN()}) {
+        yield::SequentialConfig bad_pilot;
+        bad_pilot.pilot_scale = scale;
+        rejects(bad_pilot);
+    }
+    yield::SequentialConfig inverted_scales;
+    inverted_scales.shift_fit.min_scale = 2.0;
+    inverted_scales.shift_fit.max_scale = 1.0;
+    rejects(inverted_scales);
+    yield::SequentialConfig zero_min_scale;
+    zero_min_scale.shift_fit.min_scale = 0.0;
+    rejects(zero_min_scale);
+    EXPECT_NO_THROW(yield::validate(ok));
+    EXPECT_THROW(yield::validate(bad), InvalidInputError);
+    EXPECT_THROW(yield::validate(inverted), InvalidInputError);
+    EXPECT_THROW(yield::validate(bad_dw), InvalidInputError);
 }
 
 } // namespace
