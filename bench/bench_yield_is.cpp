@@ -28,11 +28,11 @@
 //   BM_YieldBimodalSingleShift - the "single_shift" estimator (ESS collapse);
 //   BM_YieldBimodalMixture     - the "mixture_ce" estimator.
 //
-// Both scenarios and all four drivers come from the shared registries
-// (yield/scenarios.hpp + yield/estimator.hpp): the spec thresholds,
-// calibration seeds and driver recipes live there exactly once, shared
-// with tests/ and bench_yield_matrix, so this bench's CI gates and the
-// unit tests can never drift apart.
+// Both scenarios and all four drivers come from the shared scenario
+// registry and estimator zoo (yield/scenarios.hpp + yield/estimator.hpp):
+// the spec thresholds, calibration seeds and driver recipes live there
+// exactly once, shared with tests/ and bench_yield_matrix, so this bench's
+// CI gates and the unit tests can never drift apart.
 //
 // The CI gates (bench-smoke job) assert that the single-shift IS driver
 // reaches the rare-spec target in <= 1/3 of the plain-MC samples, that on
@@ -58,7 +58,6 @@
 #include "bench_common.hpp"
 #include "eval/engine.hpp"
 #include "util/rng.hpp"
-#include "yield/estimator.hpp"
 #include "yield/scenarios.hpp"
 #include "yield/sequential.hpp"
 #include "yield/weighted.hpp"
@@ -122,14 +121,17 @@ const BenchScenario& bimodal_scenario() {
     return s;
 }
 
-/// Run one registered estimator on one scenario with the historical driver
-/// seed (Rng(73)).
+/// Run one zoo member on one scenario with the historical driver seed
+/// (Rng(73)).
 yield::SequentialYieldResult run_estimator(const BenchScenario& sc,
-                                           const std::string& estimator) {
+                                           yield::Estimator estimator) {
     eval::Engine engine = make_engine();
-    return yield::EstimatorRegistry::instance().create(estimator)->estimate(
-        engine, sc.scenario.config, sc.scenario.specs, sc.scenario.factory,
-        sc.scenario.dimension, Rng(73));
+    yield::SequentialConfig config = sc.scenario.config;
+    config.estimator = estimator;
+    yield::SequentialYieldRunner runner(engine, config, sc.scenario.specs,
+                                        sc.scenario.factory,
+                                        sc.scenario.dimension, Rng(73));
+    return runner.run();
 }
 
 /// Append one driver's convergence trajectory to the artifact CSV.
@@ -169,7 +171,8 @@ BENCHMARK(BM_YieldBruteForceReference)->Iterations(1)->Unit(benchmark::kMillisec
 
 void BM_YieldSequentialPlainMc(benchmark::State& state) {
     yield::SequentialYieldResult result;
-    for (auto _ : state) result = run_estimator(rare_scenario(), "plain_mc");
+    for (auto _ : state)
+        result = run_estimator(rare_scenario(), yield::Estimator::plain_mc);
     dump_trajectory("plain_mc", result);
     state.counters["samples"] = static_cast<double>(result.samples_used);
     state.counters["yield"] = result.estimate.yield;
@@ -180,7 +183,8 @@ BENCHMARK(BM_YieldSequentialPlainMc)->Iterations(1)->Unit(benchmark::kMillisecon
 
 void BM_YieldSequentialImportance(benchmark::State& state) {
     yield::SequentialYieldResult result;
-    for (auto _ : state) result = run_estimator(rare_scenario(), "single_shift");
+    for (auto _ : state)
+        result = run_estimator(rare_scenario(), yield::Estimator::single_shift);
     dump_trajectory("importance", result);
     state.counters["samples"] =
         static_cast<double>(result.samples_used + result.pilot_samples);
@@ -229,7 +233,8 @@ void bimodal_counters(benchmark::State& state,
 void BM_YieldBimodalSingleShift(benchmark::State& state) {
     yield::SequentialYieldResult result;
     for (auto _ : state)
-        result = run_estimator(bimodal_scenario(), "single_shift");
+        result =
+            run_estimator(bimodal_scenario(), yield::Estimator::single_shift);
     dump_trajectory("bimodal_single_shift", result);
     bimodal_counters(state, result);
 }
@@ -237,7 +242,8 @@ BENCHMARK(BM_YieldBimodalSingleShift)->Iterations(1)->Unit(benchmark::kMilliseco
 
 void BM_YieldBimodalMixture(benchmark::State& state) {
     yield::SequentialYieldResult result;
-    for (auto _ : state) result = run_estimator(bimodal_scenario(), "mixture_ce");
+    for (auto _ : state)
+        result = run_estimator(bimodal_scenario(), yield::Estimator::mixture_ce);
     dump_trajectory("bimodal_mixture", result);
     bimodal_counters(state, result);
 }

@@ -1,5 +1,5 @@
-// Estimator-zoo benchmark matrix: every registered yield estimator
-// (yield::EstimatorRegistry) runs over every registered scenario
+// Estimator-zoo benchmark matrix: every yield estimator
+// (yield::kEstimators) runs over every registered scenario
 // (yield::scenario_names), one benchmark per {estimator} x {scenario} cell,
 // and every cell appends one row to <YPM_BENCH_DIR>/yield_matrix.csv:
 //
@@ -13,8 +13,8 @@
 // fail-side ESS floors on each estimator's home scenario).
 //
 // Cells are registered dynamically (custom main below): the matrix shape
-// follows the two registries, so adding an estimator or a scenario grows
-// the matrix without touching this file.
+// follows kEstimators and the scenario registry, so adding an estimator or
+// a scenario grows the matrix without touching this file.
 //
 // Environment knobs (on top of bench_common.hpp's):
 //   YPM_BENCH_YIELD_TARGET  OTA-scenario CI half-width target (default 0.0035)
@@ -27,12 +27,12 @@
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "bench_common.hpp"
 #include "eval/engine.hpp"
 #include "util/rng.hpp"
-#include "yield/estimator.hpp"
 #include "yield/scenarios.hpp"
 #include "yield/sequential.hpp"
 
@@ -67,7 +67,7 @@ const yield::Scenario& get_scenario(const std::string& name) {
 /// Append one cell row to the matrix CSV. First write of the process
 /// truncates, so a rerun replaces the artifact instead of interleaving
 /// stale rows into it.
-void dump_cell(const std::string& estimator, const std::string& scenario,
+void dump_cell(std::string_view estimator, const std::string& scenario,
                const yield::SequentialYieldResult& result, double wall_ms) {
     namespace fs = std::filesystem;
     const fs::path dir = benchx::artifact_dir();
@@ -97,11 +97,11 @@ void dump_cell(const std::string& estimator, const std::string& scenario,
         << result.proposal.components.size() << ',' << wall_ms << '\n';
 }
 
-void run_cell(benchmark::State& state, const std::string& estimator_name,
+void run_cell(benchmark::State& state, yield::Estimator estimator,
               const std::string& scenario_name) {
     const yield::Scenario& sc = get_scenario(scenario_name);
-    const auto estimator =
-        yield::EstimatorRegistry::instance().create(estimator_name);
+    yield::SequentialConfig config = sc.config;
+    config.estimator = estimator;
     yield::SequentialYieldResult result;
     double wall_ms = 0.0;
     for (auto _ : state) {
@@ -109,11 +109,13 @@ void run_cell(benchmark::State& state, const std::string& estimator_name,
         engine_config.cache_capacity = 0;
         eval::Engine engine(engine_config);
         const util::TickNs t0 = util::now_ns();
-        result = estimator->estimate(engine, sc.config, sc.specs, sc.factory,
-                                     sc.dimension, Rng(73));
+        yield::SequentialYieldRunner runner(engine, config, sc.specs,
+                                            sc.factory, sc.dimension, Rng(73));
+        result = runner.run();
         wall_ms = util::seconds_since(t0) * 1e3;
     }
-    dump_cell(estimator_name, scenario_name, result, wall_ms);
+    dump_cell(yield::estimator_name(estimator), scenario_name, result,
+              wall_ms);
     state.counters["samples"] =
         static_cast<double>(result.samples_used + result.pilot_samples);
     state.counters["yield"] = result.estimate.yield;
@@ -126,9 +128,10 @@ void run_cell(benchmark::State& state, const std::string& estimator_name,
 
 int main(int argc, char** argv) {
     for (const std::string& scenario : yield::scenario_names())
-        for (const std::string& estimator :
-             yield::EstimatorRegistry::instance().names()) {
-            const std::string name = "BM_Matrix/" + estimator + "/" + scenario;
+        for (const yield::Estimator estimator : yield::kEstimators) {
+            const std::string name =
+                "BM_Matrix/" + std::string(yield::estimator_name(estimator)) +
+                "/" + scenario;
             benchmark::RegisterBenchmark(
                 name.c_str(),
                 [estimator, scenario](benchmark::State& state) {

@@ -12,7 +12,6 @@
 #include "util/clock.hpp"
 #include "util/error.hpp"
 #include "util/log.hpp"
-#include "yield/estimator.hpp"
 #include "yield/probe.hpp"
 
 namespace ypm::core {
@@ -97,13 +96,10 @@ FlowResult YieldFlow::run() const {
                 "YieldFlow: yield_specs must be exactly {gain_db, pm_deg}, in "
                 "that order (the OTA yield kernel's column layout)");
         yield::validate(config_.yield_sequential);
-        // Resolve the estimator-zoo selection up front: an unknown name
-        // must fail before the expensive MOO/MC stages, not after them.
-        if (!config_.yield_estimator.empty())
-            (void)yield::EstimatorRegistry::instance().create(
-                config_.yield_estimator);
     }
     const FlowConfig::ProbeKnobs& probe_knobs = config_.yield_probe;
+    yield::SequentialConfig probe_sequential = config_.yield_sequential;
+    probe_sequential.estimator = probe_knobs.estimator;
     if (probe_knobs.budget > 0) {
         if (config_.yield_specs.empty())
             throw InvalidInputError(
@@ -122,12 +118,12 @@ FlowResult YieldFlow::run() const {
         shape.yield_weight = probe_knobs.yield_weight;
         shape.min_yield = probe_knobs.min_yield;
         moo::validate_robustness_config(shape);
-        // A valid estimator name can still be probe-incompatible (its pilot
-        // alone would exceed the probe budget): fail fast with the
-        // compatible zoo members listed, never degrade silently.
-        (void)yield::configure_probe_estimator(
-            probe_knobs.estimator, config_.yield_sequential,
-            probe_knobs.budget, probe_knobs.target_half_width);
+        // An estimator can be probe-incompatible (its pilot alone would
+        // exceed the probe budget): fail fast with the compatible zoo
+        // members listed, never degrade silently.
+        (void)yield::configure_probe_estimator(probe_sequential,
+                                               probe_knobs.budget,
+                                               probe_knobs.target_half_width);
     }
 
     const TraceSession trace(config_.trace_path);
@@ -164,11 +160,9 @@ FlowResult YieldFlow::run() const {
     std::unique_ptr<yield::YieldProbe> probe;
     if (probe_knobs.budget > 0) {
         yield::ProbeConfig probe_config;
-        probe_config.sequential = config_.yield_sequential;
-        probe_config.estimator = probe_knobs.estimator;
+        probe_config.sequential = probe_sequential;
         probe_config.budget = probe_knobs.budget;
         probe_config.target_half_width = probe_knobs.target_half_width;
-        probe_config.warm_start = probe_knobs.warm_start;
         // The u-record dimension is a topology property, identical for
         // every sizing (see ota_yield_dimension) - probe it at the box
         // midpoint without running any simulation.
@@ -380,15 +374,6 @@ FlowResult YieldFlow::run() const {
             const util::TickNs t1 = util::now_ns();
             yield::AdaptiveYieldConfig yield_config;
             yield_config.sequential = config_.yield_sequential;
-            if (!config_.yield_estimator.empty()) {
-                const auto estimator =
-                    yield::EstimatorRegistry::instance().create(
-                        config_.yield_estimator);
-                yield_config.sequential =
-                    estimator->configure(yield_config.sequential);
-                log::info("flow: yield estimator '", config_.yield_estimator,
-                          "'");
-            }
             yield_config.total_samples = config_.yield_total_samples;
             const std::size_t dimension =
                 ota_yield_dimension(evaluator, result.front.front().sizing);

@@ -58,22 +58,14 @@ struct FlowConfig {
     /// (pilot + importance sampling + sequential early stop). Spec columns
     /// are {gain_db, pm_deg}, in that order.
     std::vector<mc::Spec> yield_specs;
-    /// Per-point pilot/chunk/early-stop settings for the yield stage,
-    /// including the proposal-family knobs: `mixture_proposal` (defensive
-    /// mixture vs legacy single shift), `refine_after_chunks`/`max_refits`
-    /// (cross-entropy refinement) and `shift_fit.defensive_weight`.
+    /// Per-point pilot/chunk/early-stop settings for the yield stage, and
+    /// the certifying estimator-zoo member (`estimator`, default
+    /// mixture_ce; see yield/estimator.hpp) with its
+    /// `shift_fit.defensive_weight`.
     yield::SequentialConfig yield_sequential;
     /// Cross-point sample budget, allocated adaptively to the points with
     /// the widest confidence intervals (0 = per-point caps only).
     std::size_t yield_total_samples = 0;
-    /// Estimator-zoo selection by registry name (yield/estimator.hpp):
-    /// when non-empty, the named estimator's configure() specializes
-    /// `yield_sequential`'s method knobs before the yield stage runs -
-    /// "plain_mc", "single_shift", "mixture_ce" or "mixture_ce_scale".
-    /// Empty keeps `yield_sequential` exactly as given (the legacy
-    /// behaviour). Unknown names throw
-    /// ypm::InvalidInputError at flow construction, listing the registry.
-    std::string yield_estimator;
     /// Yield-in-the-loop probes (step 2): when `budget` > 0, every WBGA
     /// generation at or past `activation_generation` runs a low-budget
     /// yield probe per (selected) individual against `yield_specs`, and the
@@ -97,12 +89,13 @@ struct FlowConfig {
         /// Probe only the K nominally-fittest individuals per generation
         /// (0 = whole population) - the tiered budget control.
         std::size_t max_points = 0;
-        /// Carry fitted proposals across generations (skip later pilots).
-        bool warm_start = true;
-        /// Estimator-zoo member the probes run (empty = plain_mc). Must be
-        /// probe-compatible with `budget`: a pilot that leaves no main-stage
-        /// sample fails fast, listing the compatible zoo members.
-        std::string estimator;
+        /// Estimator-zoo member the probes run in place of
+        /// `yield_sequential.estimator`. Must be probe-compatible with
+        /// `budget`: a pilot that leaves no main-stage sample fails fast,
+        /// listing the compatible zoo members. Probes always warm-start: a
+        /// qualifying pilot's fitted proposal carries to later generations,
+        /// which skip their pilots.
+        yield::Estimator estimator = yield::Estimator::plain_mc;
     };
     ProbeKnobs yield_probe;
     /// When non-empty, span tracing (obs::Tracer) is enabled for this run

@@ -1,99 +1,76 @@
 #pragma once
 /// \file estimator.hpp
-/// \brief The estimator zoo: a named YieldEstimator policy interface plus a
-///        name -> factory registry.
+/// \brief The estimator zoo: one typed selection of the method the
+///        sequential yield runner applies.
 ///
-/// Every yield estimator in this repo is a *policy over the one sequential
-/// driver* (yield::SequentialYieldRunner), not a separate sampling loop: an
-/// estimator takes a scenario-level base configuration (pilot size, chunk
-/// size, sample caps, CI target - the knobs that belong to the problem) and
-/// specializes the family-defining knobs (proposal form, CE refinement,
-/// scale adaptation - the knobs that belong to the method). This keeps the
-/// determinism and inflight-window invariance guarantees of the driver
-/// uniform across the whole zoo, and it is what lets one conformance suite
-/// and one benchmark matrix iterate over every registered estimator by
-/// name.
+/// Every yield estimator in this repo is a *method of the one sequential
+/// driver* (yield::SequentialYieldRunner), not a separate sampling loop: a
+/// scenario-level SequentialConfig carries the knobs that belong to the
+/// problem (pilot size, chunk size, sample caps, CI target) plus one
+/// `estimator` field, and the runner derives the family-defining behaviour
+/// (proposal form, CE refinement, scale adaptation) from that field alone.
+/// This keeps the determinism and inflight-window invariance guarantees of
+/// the driver uniform across the whole zoo, and it is what lets one
+/// conformance suite and one benchmark matrix iterate over kEstimators.
 ///
-/// Built-in zoo (registered lazily on first registry access):
+/// The zoo:
 ///   plain_mc         - no pilot, nominal proposal: plain Monte Carlo.
 ///   single_shift     - pilot + single combined mean shift (ISLE).
 ///   mixture_ce       - defensive mixture + one cross-entropy mean refit.
 ///   mixture_ce_scale - mixture_ce whose CE refit also learns per-component
-///                      diagonal variances (ShiftFitConfig::adapt_scale).
+///                      diagonal variances (refit_shift's adapt_scale).
 ///
 /// The zoo keeps only members that win at least one column of the
 /// benchmark matrix (bench_yield_matrix); a member that never beats the
 /// others anywhere is deleted, machinery included.
 ///
-/// Adding an estimator: implement YieldEstimator (usually just configure()),
-/// register a factory under a new name, and add it to ALL_ESTIMATORS (plus
-/// the family lists it belongs to) in scripts/check_matrix.py - the
-/// bench-matrix CI job then gates it on every scenario.
+/// Adding an estimator: add an enum member, its branch in
+/// SequentialYieldRunner, its entry in kEstimators and its name in
+/// estimator_name(), and add it to ALL_ESTIMATORS (plus the family lists it
+/// belongs to) in scripts/check_matrix.py - the matrix gate then covers it
+/// on every scenario.
 
-#include <functional>
-#include <memory>
-#include <string>
+#include <array>
+#include <optional>
 #include <string_view>
-#include <vector>
-
-#include "yield/sequential.hpp"
 
 namespace ypm::yield {
 
-/// One named estimation policy. Stateless: estimate() may be called
-/// concurrently on distinct engines.
-class YieldEstimator {
-public:
-    virtual ~YieldEstimator() = default;
+enum class Estimator { plain_mc, single_shift, mixture_ce, mixture_ce_scale };
 
-    /// Registry name (stable identifier used by FlowConfig, the benchmark
-    /// matrix and the conformance suite).
-    [[nodiscard]] virtual std::string_view name() const = 0;
+/// Every zoo member, in enum order - the iteration order of the conformance
+/// suite and the benchmark matrix.
+inline constexpr std::array<Estimator, 4> kEstimators = {
+    Estimator::plain_mc, Estimator::single_shift, Estimator::mixture_ce,
+    Estimator::mixture_ce_scale};
 
-    /// Specialize a scenario-level base configuration for this estimator.
-    /// Implementations override only their family-defining knobs and leave
-    /// the problem-level knobs (chunk size, caps, CI target) alone, so one
-    /// scenario definition drives every estimator comparably.
-    [[nodiscard]] virtual SequentialConfig
-    configure(SequentialConfig base) const = 0;
+/// Stable name of a member ("plain_mc", ...): the matrix CSV key and the
+/// inverse of parse_estimator().
+[[nodiscard]] std::string_view estimator_name(Estimator estimator);
 
-    /// Run one design point to completion under this policy: construct a
-    /// SequentialYieldRunner on configure(base) and run() it. \throws
-    /// whatever the runner constructor throws on an invalid configuration.
-    [[nodiscard]] SequentialYieldResult
-    estimate(eval::Engine& engine, const SequentialConfig& base,
-             const std::vector<mc::Spec>& specs, const KernelFactory& factory,
-             std::size_t dimension, Rng rng) const;
-};
+/// \throws ypm::InvalidInputError on an unknown name; the message lists
+///         every member of kEstimators.
+[[nodiscard]] Estimator parse_estimator(std::string_view name);
 
-using EstimatorFactory = std::function<std::unique_ptr<YieldEstimator>()>;
+struct SequentialConfig;
 
-/// Process-wide name -> factory registry. Built-ins are registered lazily
-/// on first access (instance() construction), so a static-library link
-/// cannot drop them; user estimators register on top at any time.
+/// Name -> enum adapter whose only caller is the repository benchmark
+/// (ypmbench/src/workloads.cpp selects its certifier with
+/// `EstimatorRegistry::instance().create("mixture_ce")->configure(base)`).
+/// ROADMAP item 4 deletes it together with eval::KernelFn; everything else
+/// sets SequentialConfig::estimator directly.
 class EstimatorRegistry {
 public:
-    [[nodiscard]] static EstimatorRegistry& instance();
+    struct Selection {
+        Estimator estimator;
+        /// `base` with its estimator set to this selection.
+        [[nodiscard]] SequentialConfig configure(SequentialConfig base) const;
+    };
 
-    /// \throws ypm::InvalidInputError on an empty name, a null factory, or
-    ///         a duplicate registration (a silent overwrite would let two
-    ///         translation units fight over a name).
-    void add(std::string name, EstimatorFactory factory);
+    [[nodiscard]] static const EstimatorRegistry& instance();
 
-    [[nodiscard]] bool contains(std::string_view name) const;
-
-    /// \throws ypm::InvalidInputError on an unknown name; the message lists
-    ///         the registered names (the FlowConfig selection error).
-    [[nodiscard]] std::unique_ptr<YieldEstimator>
-    create(std::string_view name) const;
-
-    /// All registered names, sorted - the iteration order of the
-    /// conformance suite and the benchmark matrix.
-    [[nodiscard]] std::vector<std::string> names() const;
-
-private:
-    EstimatorRegistry();
-    std::vector<std::pair<std::string, EstimatorFactory>> entries_;
+    /// Never empty. \throws what parse_estimator() throws.
+    [[nodiscard]] std::optional<Selection> create(std::string_view name) const;
 };
 
 } // namespace ypm::yield

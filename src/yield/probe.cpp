@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <string>
 #include <utility>
 
 #include "obs/metrics.hpp"
@@ -33,7 +34,7 @@ struct ProbeMetrics {
 /// budget left after its pilot.
 SequentialConfig clamp_to_budget(SequentialConfig cfg, std::size_t budget,
                                  double target_half_width) {
-    cfg.max_samples = budget - std::min(cfg.pilot_samples, budget);
+    cfg.max_samples = budget - std::min(cfg.effective_pilot_samples(), budget);
     cfg.chunk_samples = std::max<std::size_t>(
         1, std::min(cfg.chunk_samples, cfg.max_samples));
     cfg.min_samples = std::min(cfg.min_samples, cfg.max_samples);
@@ -43,29 +44,26 @@ SequentialConfig clamp_to_budget(SequentialConfig cfg, std::size_t budget,
 
 } // namespace
 
-SequentialConfig configure_probe_estimator(const std::string& name,
-                                           SequentialConfig base,
+SequentialConfig configure_probe_estimator(SequentialConfig base,
                                            std::size_t budget,
                                            double target_half_width) {
     if (budget == 0)
         throw InvalidInputError("yield probe: budget must be >= 1 sample");
-    const EstimatorRegistry& registry = EstimatorRegistry::instance();
-    const std::string resolved = name.empty() ? "plain_mc" : name;
-    // Unknown names throw the registry's own listing error here.
-    const SequentialConfig cfg = registry.create(resolved)->configure(base);
-    if (cfg.pilot_samples + 1 > budget) {
+    if (base.effective_pilot_samples() + 1 > budget) {
         // Valid estimator, invalid tier: its pilot leaves no main-stage
         // sample inside the probe budget. List the compatible subset of the
         // zoo so the caller can substitute instead of silently degrading.
         std::vector<std::string> compatible;
-        for (const std::string& candidate : registry.names()) {
-            const SequentialConfig trial =
-                registry.create(candidate)->configure(base);
-            if (trial.pilot_samples + 1 <= budget) compatible.push_back(candidate);
+        for (const Estimator candidate : kEstimators) {
+            SequentialConfig trial = base;
+            trial.estimator = candidate;
+            if (trial.effective_pilot_samples() + 1 <= budget)
+                compatible.emplace_back(estimator_name(candidate));
         }
         throw InvalidInputError(
-            "yield probe: estimator '" + resolved + "' needs " +
-            std::to_string(cfg.pilot_samples) +
+            "yield probe: estimator '" +
+            std::string(estimator_name(base.estimator)) + "' needs " +
+            std::to_string(base.effective_pilot_samples()) +
             " pilot samples plus >= 1 main-stage sample, which does not fit "
             "the probe budget of " +
             std::to_string(budget) +
@@ -73,7 +71,7 @@ SequentialConfig configure_probe_estimator(const std::string& name,
             (compatible.empty() ? std::string("(none at this budget)")
                                 : str::join(compatible, ", ")));
     }
-    return clamp_to_budget(cfg, budget, target_half_width);
+    return clamp_to_budget(std::move(base), budget, target_half_width);
 }
 
 YieldProbe::YieldProbe(ProbeConfig config, std::vector<mc::Spec> specs,
@@ -85,8 +83,7 @@ YieldProbe::YieldProbe(ProbeConfig config, std::vector<mc::Spec> specs,
     if (!factory_)
         throw InvalidInputError("YieldProbe: null point kernel factory");
     cold_config_ = configure_probe_estimator(
-        config_.estimator, config_.sequential, config_.budget,
-        config_.target_half_width);
+        config_.sequential, config_.budget, config_.target_half_width);
 }
 
 SequentialConfig YieldProbe::warm_config() const {
@@ -104,7 +101,7 @@ YieldProbe::probe(eval::Engine& engine,
     std::vector<ProbeResult> results(n);
     if (n == 0) return results;
 
-    const bool warm = config_.warm_start && !warm_.components.empty();
+    const bool warm = !warm_.components.empty();
     const SequentialConfig cfg = warm ? warm_config() : cold_config_;
 
     // Point i derives its RNG from its submission position (child(i + 1),
@@ -125,13 +122,12 @@ YieldProbe::probe(eval::Engine& engine,
     // retire one chunk per runner per sweep. Each runner's folded estimate
     // is window-invariant (overshoot drains, never folds), so the sweep
     // order affects only overlap, never results.
-    const std::size_t window = std::max<std::size_t>(cfg.inflight, 1);
     bool progressed = true;
     while (progressed) {
         progressed = false;
         for (auto& r : runners) {
             if (r->done()) continue;
-            while (r->in_flight() < window && r->submit_chunk() > 0) {
+            while (r->in_flight() < cfg.inflight && r->submit_chunk() > 0) {
             }
         }
         for (auto& r : runners) {
@@ -153,8 +149,7 @@ YieldProbe::probe(eval::Engine& engine,
         // Warm-start hand-off: the last cold point this call whose pilot
         // located enough failures donates its fitted proposal. Advances in
         // point order on folded results only - deterministic.
-        if (config_.warm_start && !warm &&
-            res.shift_pilot_failures >= config_.min_warm_failures &&
+        if (!warm && res.shift_pilot_failures >= config_.min_warm_failures &&
             res.proposal.active())
             warm_ = res.proposal;
     }

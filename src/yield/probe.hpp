@@ -30,10 +30,8 @@
 
 #include <cstddef>
 #include <functional>
-#include <string>
 #include <vector>
 
-#include "yield/estimator.hpp"
 #include "yield/sequential.hpp"
 
 namespace ypm::yield {
@@ -46,24 +44,19 @@ using PointKernelFactory =
     std::function<KernelFactory(const std::vector<double>& params)>;
 
 struct ProbeConfig {
-    /// Problem-level base knobs (chunk size, shift-fit clamps, ...); the
-    /// probe overrides the budget-tier knobs below. The base's own
+    /// Problem-level base knobs (chunk size, shift-fit clamps, ...) plus the
+    /// estimator-zoo member the probe runs (`sequential.estimator`), which
+    /// must be probe-compatible: its pilot has to leave at least one
+    /// main-stage sample inside `budget` (see configure_probe_estimator).
+    /// The probe overrides the budget-tier knobs below; the base's own
     /// max/min/target are ignored - the probe budget is the authority.
     SequentialConfig sequential;
-    /// Estimator-zoo member the probe runs (empty selects plain_mc). Must
-    /// be probe-compatible: its configured pilot has to leave at least one
-    /// main-stage sample inside `budget` (see configure_probe_estimator).
-    std::string estimator;
     /// Hard per-point sample budget, pilot included. The probe never spends
     /// more than this on one individual.
     std::size_t budget = 128;
     /// Coarse early-stop CI half-width (0 spends the full budget). Probes
     /// steer selection, so ~0.08 is plenty; certification tightens later.
     double target_half_width = 0.08;
-    /// Carry fitted proposals across probe calls (generations): once a cold
-    /// pilot has located failures, later points skip their pilots and spend
-    /// the whole budget on main-stage chunks.
-    bool warm_start = true;
     /// A pilot fit backed by fewer failing samples than this is too noisy
     /// to carry forward; keep probing cold until one qualifies.
     std::size_t min_warm_failures = 4;
@@ -77,17 +70,16 @@ struct ProbeResult {
     bool reached_target = false;
 };
 
-/// Specialize `name` (empty = plain_mc) onto `base` for probe duty: resolve
-/// it from the EstimatorRegistry, apply its family knobs, then clamp the
-/// sample caps to the probe `budget` and set the coarse `target_half_width`.
-/// \throws ypm::InvalidInputError on an unknown name (the registry's
-/// listing error), and on a *valid but probe-incompatible* estimator - one
-/// whose configured pilot leaves no main-stage sample inside the budget -
-/// with the probe-compatible subset of the zoo listed, so the caller can
-/// pick a substitute instead of silently degrading.
+/// Specialize `base` (running `base.estimator`) for probe duty: clamp the
+/// sample caps to the probe `budget` left after the estimator's pilot and
+/// set the coarse `target_half_width`. \throws ypm::InvalidInputError on a
+/// zero budget, and on a probe-incompatible estimator - one whose pilot
+/// leaves no main-stage sample inside the budget - with the
+/// probe-compatible members of kEstimators listed, so the caller can pick a
+/// substitute instead of silently degrading.
 [[nodiscard]] SequentialConfig
-configure_probe_estimator(const std::string& name, SequentialConfig base,
-                          std::size_t budget, double target_half_width);
+configure_probe_estimator(SequentialConfig base, std::size_t budget,
+                          double target_half_width);
 
 /// Batched low-budget yield estimation for one cohort of design points,
 /// streamed through a shared engine (pilots together, then main chunks

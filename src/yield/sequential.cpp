@@ -37,6 +37,8 @@ void validate(const SequentialConfig& config) {
         throw InvalidInputError("SequentialConfig: chunk_samples must be >= 1");
     if (config.max_samples == 0)
         throw InvalidInputError("SequentialConfig: max_samples must be >= 1");
+    if (config.inflight == 0)
+        throw InvalidInputError("SequentialConfig: inflight must be >= 1");
     if (config.min_samples > config.max_samples)
         throw InvalidInputError(
             "SequentialConfig: min_samples exceeds max_samples - the early "
@@ -67,12 +69,12 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
     if (!factory_)
         throw InvalidInputError("SequentialYieldRunner: null kernel factory");
     validate(config_);
-    if (config_.inflight == 0) config_.inflight = 1;
-    // CE refinement needs u records on the main stage and at least one
-    // failing record per refit.
-    record_main_u_ = config_.refine_after_chunks > 0 && config_.max_refits > 0;
+    // CE refinement (the mixture_ce family) needs u records on the main
+    // stage.
+    record_main_u_ = config_.estimator == Estimator::mixture_ce ||
+                     config_.estimator == Estimator::mixture_ce_scale;
     if (!config_.initial_proposal.components.empty()) {
-        if (config_.pilot_samples > 0)
+        if (config_.effective_pilot_samples() > 0)
             throw InvalidInputError(
                 "SequentialYieldRunner: initial_proposal (warm start) and a "
                 "pilot stage are mutually exclusive - set pilot_samples to 0 "
@@ -80,7 +82,6 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
                 "refit from a pilot");
         config_.initial_proposal.validate(dimension_);
     }
-    if (config_.refit_min_failures == 0) config_.refit_min_failures = 1;
     // Zero retired samples must report the vacuous interval [0, 1], not a
     // default-constructed point interval [0, 0] pretending certainty (a
     // budget-starved point in a multi-point campaign hits this).
@@ -89,7 +90,7 @@ SequentialYieldRunner::SequentialYieldRunner(eval::Engine& engine,
 }
 
 void SequentialYieldRunner::submit_pilot() {
-    if (pilot_submitted_ || config_.pilot_samples == 0) return;
+    if (pilot_submitted_ || config_.effective_pilot_samples() == 0) return;
     process::SampleShift pilot_shift;
     pilot_shift.scale = config_.pilot_scale;
     mc::McConfig cfg;
@@ -134,9 +135,9 @@ void SequentialYieldRunner::finish_pilot() {
 }
 
 void SequentialYieldRunner::bind_main_kernel(const ShiftFit& fit) {
-    main_proposal_ = config_.mixture_proposal
-                         ? fit.mixture
-                         : process::ProposalMixture::single(fit.shift);
+    main_proposal_ = config_.estimator == Estimator::single_shift
+                         ? process::ProposalMixture::single(fit.shift)
+                         : fit.mixture;
     main_arity_ = specs_.size() + 1 + (record_main_u_ ? dimension_ : 0);
     main_kernel_ = factory_(main_proposal_, record_main_u_);
 }
@@ -226,10 +227,10 @@ void SequentialYieldRunner::update_estimate() {
 }
 
 void SequentialYieldRunner::maybe_refit() {
-    if (!record_main_u_ || refits_done_ >= config_.max_refits) return;
-    if (stage_chunks_ < config_.refine_after_chunks) return;
+    if (!record_main_u_ || refits_done_ >= kMaxRefits) return;
+    if (stage_chunks_ < kRefitPeriodChunks) return;
     if (done()) return; // the stop decision wins over a refit
-    if (fail_rows_.size() < config_.refit_min_failures) return;
+    if (fail_rows_.size() < kRefitMinFailures) return;
 
     // Chunks in flight were drawn from the proposal being replaced: drain
     // them as discarded overshoot and rewind the RNG/submission state to
@@ -237,7 +238,8 @@ void SequentialYieldRunner::maybe_refit() {
     // run - depends only on folded chunks, never on the inflight window.
     rewind_inflight();
 
-    fit_ = refit_shift(fail_rows_, specs_, dimension_, config_.shift_fit);
+    fit_ = refit_shift(fail_rows_, specs_, dimension_, config_.shift_fit,
+                       config_.estimator == Estimator::mixture_ce_scale);
     bind_main_kernel(fit_);
 
     // Close the current stage: its samples were drawn from the old
@@ -337,11 +339,12 @@ run_adaptive_yield(eval::Engine& engine, const AdaptiveYieldConfig& config,
     // the first is retired, so they overlap on the engine's pool. A point
     // whose pilot no longer fits the budget is flagged, not silently
     // degraded to plain MC.
+    const std::size_t pilot = config.sequential.effective_pilot_samples();
     for (std::size_t i = 0; i < runners.size(); ++i) {
-        if (config.sequential.pilot_samples == 0) continue;
-        if (remaining() >= config.sequential.pilot_samples) {
+        if (pilot == 0) continue;
+        if (remaining() >= pilot) {
             runners[i]->submit_pilot();
-            used += config.sequential.pilot_samples;
+            used += pilot;
         } else {
             runners[i]->mark_pilot_skipped();
             log::warn("adaptive yield: budget cannot cover the pilot of "
@@ -375,9 +378,8 @@ run_adaptive_yield(eval::Engine& engine, const AdaptiveYieldConfig& config,
         }
         if (widest == runners.size()) break;
         SequentialYieldRunner& runner = *runners[widest];
-        const std::size_t window =
-            std::max<std::size_t>(config.sequential.inflight, 1);
-        for (std::size_t k = 0; k < window && !runner.exhausted(); ++k) {
+        for (std::size_t k = 0;
+             k < config.sequential.inflight && !runner.exhausted(); ++k) {
             const std::size_t submitted = runner.submit_chunk(remaining());
             if (submitted == 0) break;
             used += submitted;

@@ -8,17 +8,18 @@
 ///  1. pilot: a Monte Carlo chunk drawn from a *widened* proposal (scale > 1)
 ///     locates the failure region(s); yield::fit_shift turns the failing
 ///     realisations into a defensive mixture proposal (nominal + one
-///     component per failing spec) or, in the legacy mode, a single
-///     combined mean shift;
+///     component per failing spec) or, for single_shift, a single combined
+///     mean shift; plain_mc skips the pilot and samples the nominal
+///     distribution throughout;
 ///  2. main: fixed-size chunks drawn from the fitted proposal stream
 ///     through eval::Engine::submit()/wait() - reusing the stochastic chunk
 ///     kernels and the warm PrototypePool - and the run stops early once the
 ///     95 % confidence half-width of the weighted estimate (the unnormalized
 ///     fail-side form, see yield/weighted.hpp) reaches the target;
-///  3. optional cross-entropy refinement: every `refine_after_chunks`
-///     retired chunks the proposal is re-fitted from the accumulated
-///     main-stage failing records (yield::refit_shift) and a new stage
-///     begins. Stages drawn from different proposals are combined
+///  3. cross-entropy refinement (the mixture_ce family only): after
+///     kRefitPeriodChunks retired chunks the proposal is re-fitted from the
+///     accumulated main-stage failing records (yield::refit_shift) and a
+///     new stage begins. Stages drawn from different proposals are combined
 ///     *per-stage* (yield::combine_stage_estimates pools their exact
 ///     fail-side moments); samples are never re-weighted under one
 ///     proposal's formula.
@@ -47,15 +48,15 @@
 #include "mc/monte_carlo.hpp"
 #include "mc/yield.hpp"
 #include "process/sampler.hpp"
+#include "yield/estimator.hpp"
 #include "yield/shift.hpp"
 #include "yield/weighted.hpp"
 
 namespace ypm::yield {
 
 /// Builds the chunk kernel for one proposal distribution (a defensive
-/// mixture; the pilot and the legacy single-shift mode pass one-component
-/// mixtures, whose draw path must be bit-identical to the plain
-/// single-shift sampler). Rows must be {perf_0..perf_{k-1}, log_weight}
+/// mixture; the pilot and single_shift pass one-component mixtures, whose
+/// draw path must be bit-identical to the plain single-shift sampler). Rows must be {perf_0..perf_{k-1}, log_weight}
 /// for k specs, plus the `dimension` standardized coordinates
 /// u_0..u_{dim-1} appended when record_u is true (shift fitting and CE
 /// refinement need them). Kernels are copied into the engine; anything
@@ -63,8 +64,22 @@ namespace ypm::yield {
 using KernelFactory = std::function<mc::ChunkSampleFn(
     const process::ProposalMixture&, bool record_u)>;
 
+/// Cross-entropy refinement of the mixture_ce family: refit after this
+/// many retired main-stage chunks of a stage, at most kMaxRefits times per
+/// run, and only once kRefitMinFailures failing records have accumulated
+/// (a refit without evidence would aim the proposal at noise).
+inline constexpr std::size_t kRefitPeriodChunks = 2;
+inline constexpr std::size_t kMaxRefits = 1;
+inline constexpr std::size_t kRefitMinFailures = 8;
+
 struct SequentialConfig {
-    std::size_t pilot_samples = 128; ///< 0 disables the pilot (zero shift)
+    /// The estimation method (see yield/estimator.hpp); the runner derives
+    /// the pilot, proposal family, CE refinement and scale adaptation from
+    /// it. The knobs below belong to the problem and apply to every member.
+    Estimator estimator = Estimator::mixture_ce;
+    /// Pilot size; 0 disables the pilot (zero shift). plain_mc never runs
+    /// one, whatever this says (see effective_pilot_samples()).
+    std::size_t pilot_samples = 128;
     double pilot_scale = 2.0;        ///< widened pilot proposal (sigma units)
     std::size_t chunk_samples = 64;  ///< main-stage chunk size
     std::size_t max_samples = 4096;  ///< main-stage cap (excludes the pilot)
@@ -79,39 +94,33 @@ struct SequentialConfig {
     /// comment), only the overshoot; in run_adaptive_yield it is also the
     /// per-pick allocation granularity (see its contract).
     std::size_t inflight = 2;
-    /// Main-stage proposal family: the defensive mixture fitted by the
-    /// pilot (default - covers disjoint multi-spec failure regions) or the
-    /// legacy single combined mean shift (ISLE).
-    bool mixture_proposal = true;
-    /// Cross-entropy refinement period, in retired main-stage chunks; 0
-    /// disables refinement. When enabled the main kernels record u (the
-    /// rows grow by `dimension` columns) and every failing record is
-    /// accumulated for refit_shift.
-    std::size_t refine_after_chunks = 0;
-    std::size_t max_refits = 1; ///< refinement rounds allowed per run
-    /// A refit without evidence would aim the proposal at noise: skip the
-    /// refinement until at least this many failing records accumulated.
-    std::size_t refit_min_failures = 8;
     ShiftFitConfig shift_fit; ///< clamp + defensive weight for the fits
     /// Warm-start seam: a pre-fitted main-stage proposal (e.g. carried over
     /// from an earlier generation's probe at a nearby design point). Empty
     /// components - the default - leave the seam unset. When set, the run
-    /// must not also configure a pilot (pilot_samples > 0): the runner ctor
-    /// throws on the ambiguous combination rather than letting one silently
-    /// override the other. With pilot_samples == 0 the proposal is bound
-    /// directly as the main-stage proposal (exact importance weights come
-    /// from the kernel as usual, so a stale warm proposal costs variance,
-    /// never bias).
+    /// must not also configure a pilot (effective_pilot_samples() > 0): the
+    /// runner ctor throws on the ambiguous combination rather than letting
+    /// one silently override the other. Without a pilot the proposal is
+    /// bound directly as the main-stage proposal (exact importance weights
+    /// come from the kernel as usual, so a stale warm proposal costs
+    /// variance, never bias).
     process::ProposalMixture initial_proposal;
+
+    /// Pilot samples the run actually draws: 0 for plain_mc, pilot_samples
+    /// otherwise.
+    [[nodiscard]] std::size_t effective_pilot_samples() const {
+        return estimator == Estimator::plain_mc ? 0 : pilot_samples;
+    }
 };
 
 /// The one validator for a SequentialConfig, shared by the runner ctor
 /// and core::YieldFlow's fail-fast block so a bad config is rejected before
 /// anything is simulated. \throws ypm::InvalidInputError on zero
-/// chunk/max samples, min_samples > max_samples (which would silently make
-/// the early stop unreachable and burn the full cap on every run), a
-/// non-finite or non-positive pilot_scale, a shift_fit.defensive_weight
-/// outside [0, 1), or shift_fit scale clamps violating
+/// chunk/max samples, a zero inflight window, min_samples > max_samples
+/// (which would silently make the early stop unreachable and burn the full
+/// cap on every run), a non-finite or non-positive pilot_scale, a
+/// shift_fit.defensive_weight outside [0, 1), or shift_fit scale clamps
+/// violating
 /// 0 < min_scale <= max_scale.
 void validate(const SequentialConfig& config);
 
@@ -159,8 +168,9 @@ public:
                           std::size_t dimension, Rng rng);
 
     /// Pilot stage. submit_pilot() enqueues the pilot chunk (no-op when
-    /// pilot_samples == 0); finish_pilot() blocks on it and fits the
-    /// proposal. Both must be called (in order) before any main-stage call.
+    /// effective_pilot_samples() == 0); finish_pilot() blocks on it and fits
+    /// the proposal. Both must be called (in order) before any main-stage
+    /// call.
     void submit_pilot();
     void finish_pilot();
 
@@ -184,8 +194,8 @@ public:
 
     /// Block on the oldest in-flight chunk and fold it into the estimate;
     /// false when nothing is in flight. May trigger a CE refit (see
-    /// SequentialConfig::refine_after_chunks), which drains the remaining
-    /// in-flight chunks as discarded overshoot.
+    /// kRefitPeriodChunks), which drains the remaining in-flight chunks as
+    /// discarded overshoot.
     bool retire_chunk();
 
     /// Block on every in-flight chunk *without* folding it (counted as

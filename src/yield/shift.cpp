@@ -22,11 +22,12 @@ void clamp_norm(std::vector<double>& mu, double max_norm) {
 
 /// Shared fitting machinery: per-spec (optionally importance-weighted)
 /// centers of gravity of the failing rows, each norm-clamped; a combined
-/// single shift; and the defensive mixture (scale-adapted when the config
-/// asks for it).
+/// single shift; and the defensive mixture (scale-adapted when the caller
+/// asks for it - refit_shift only, see its contract).
 ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
                   const std::vector<mc::Spec>& specs, std::size_t dimension,
-                  const ShiftFitConfig& config, bool importance_weighted) {
+                  const ShiftFitConfig& config, bool importance_weighted,
+                  bool adapt_scale) {
     if (!(config.defensive_weight >= 0.0 && config.defensive_weight < 1.0))
         throw InvalidInputError(
             "fit_shift: defensive_weight must be in [0, 1)");
@@ -34,9 +35,6 @@ ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
         throw InvalidInputError(
             "fit_shift: scale clamps must satisfy 0 < min_scale <= max_scale");
     const std::size_t arity = specs.size() + 1 + dimension;
-    // Scale adaptation needs importance weights: the pilot's few unweighted
-    // failures carry no usable spread information (see ShiftFitConfig).
-    const bool adapt_scale = config.adapt_scale && importance_weighted;
 
     ShiftFit fit;
     fit.per_spec.resize(specs.size());
@@ -125,7 +123,7 @@ ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
         return fit;
     }
 
-    // Combined single shift (legacy proposal mode and reporting): the
+    // Combined single shift (single_shift's proposal and reporting): the
     // failure-mass-weighted average of the clamped per-spec centers. With
     // one failing spec this is exactly its center of gravity; with several
     // it points between the modes - a single mean-shift proposal cannot
@@ -164,13 +162,13 @@ ShiftFit fit_impl(const std::vector<std::vector<double>>& rows,
 ShiftFit fit_shift(const std::vector<std::vector<double>>& pilot_rows,
                    const std::vector<mc::Spec>& specs, std::size_t dimension,
                    const ShiftFitConfig& config) {
-    return fit_impl(pilot_rows, specs, dimension, config, false);
+    return fit_impl(pilot_rows, specs, dimension, config, false, false);
 }
 
 ShiftFit refit_shift(const std::vector<std::vector<double>>& rows,
                      const std::vector<mc::Spec>& specs, std::size_t dimension,
-                     const ShiftFitConfig& config) {
-    return fit_impl(rows, specs, dimension, config, true);
+                     const ShiftFitConfig& config, bool adapt_scale) {
+    return fit_impl(rows, specs, dimension, config, true, adapt_scale);
 }
 
 } // namespace ypm::yield

@@ -37,24 +37,14 @@ struct ShiftFitConfig {
     /// defensive-IS guarantee. 0 drops the nominal component entirely.
     /// \throws ypm::InvalidInputError from the fit when outside [0, 1).
     double defensive_weight = 0.1;
-    /// Scale adaptation (CE refit only): when true, refit_shift also learns
-    /// each component's *diagonal* variance from the importance-weighted
-    /// failing records - sigma_d^2 = sum(w (u_d - mu_d)^2) / sum(w) around
-    /// the fitted mean - the CE-optimal diagonal covariance for a Gaussian
-    /// family. Per-dimension sigmas are clamped to [min_scale, max_scale]
-    /// (a single dominant record would otherwise collapse a sigma to ~0 and
-    /// spike the weights); specs with fewer than two failing records keep
-    /// the unit scale. The pilot fit (fit_shift) never adapts scales: its
-    /// few unweighted failures carry no usable spread information.
-    bool adapt_scale = false;
-    /// Lower sigma clamp for adapted scales. Kept close to the unit scale:
-    /// the weighted spread of a handful of failing records systematically
-    /// *underestimates* the conditional variance, and an over-shrunk
-    /// component spikes the fail-side weights of records landing in the
-    /// other components' territory (measured on the bimodal OTA scenario:
-    /// min_scale 0.5 costs ~20 % more samples-to-target than mean-only CE;
-    /// 0.9 beats it). Values below 1 still allow a genuine, evidence-backed
-    /// shrink.
+    /// Lower sigma clamp for adapted scales (refit_shift's adapt_scale).
+    /// Kept close to the unit scale: the weighted spread of a handful of
+    /// failing records systematically *underestimates* the conditional
+    /// variance, and an over-shrunk component spikes the fail-side weights
+    /// of records landing in the other components' territory (measured on
+    /// the bimodal OTA scenario: min_scale 0.5 costs ~20 % more
+    /// samples-to-target than mean-only CE; 0.9 beats it). Values below 1
+    /// still allow a genuine, evidence-backed shrink.
     double min_scale = 0.9;
     double max_scale = 3.0; ///< upper sigma clamp for adapted scales
 };
@@ -64,7 +54,7 @@ struct ShiftFit {
     /// Combined single shift: failure-mass-weighted average of the
     /// (clamped) per-spec centers of gravity, norm-clamped again. Empty mu
     /// when the fit saw no failures (the main stage then degenerates to
-    /// plain MC). Kept for the legacy single-shift proposal mode and for
+    /// plain MC). The single_shift estimator's proposal, and kept for
     /// reporting.
     process::SampleShift shift;
     /// Defensive mixture proposal: a nominal component (weight
@@ -101,12 +91,23 @@ struct ShiftFit {
 /// the row was drawn from - so records accumulated across *different*
 /// proposals (earlier CE stages) combine into one unbiased estimate of the
 /// nominal-density failure centers. Passing rows are ignored, so callers
-/// may feed either the failing subset or everything. \throws
-/// ypm::InvalidInputError on arity mismatch, a non-finite log weight or a
-/// bad config.
+/// may feed either the failing subset or everything.
+///
+/// Scale adaptation (mixture_ce_scale): with `adapt_scale`, the refit also
+/// learns each component's *diagonal* variance from the importance-weighted
+/// failing records - sigma_d^2 = sum(w (u_d - mu_d)^2) / sum(w) around the
+/// fitted mean - the CE-optimal diagonal covariance for a Gaussian family.
+/// Per-dimension sigmas are clamped to [min_scale, max_scale] (a single
+/// dominant record would otherwise collapse a sigma to ~0 and spike the
+/// weights); specs with fewer than two failing records keep the unit
+/// scale. The pilot fit (fit_shift) never adapts scales: its few
+/// unweighted failures carry no usable spread information.
+/// \throws ypm::InvalidInputError on arity mismatch, a non-finite log
+/// weight or a bad config.
 [[nodiscard]] ShiftFit refit_shift(const std::vector<std::vector<double>>& rows,
                                    const std::vector<mc::Spec>& specs,
                                    std::size_t dimension,
-                                   const ShiftFitConfig& config = {});
+                                   const ShiftFitConfig& config = {},
+                                   bool adapt_scale = false);
 
 } // namespace ypm::yield

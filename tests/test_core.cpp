@@ -227,13 +227,12 @@ TEST(Flow, RejectsMalformedYieldSpecs) {
     bad_scales.yield_sequential.shift_fit.max_scale = 1.0;
     EXPECT_THROW((void)YieldFlow(ota, bad_scales).run(), InvalidInputError);
 
-    // And for a yield-estimator name the registry does not know: the yield
-    // stage resolves the name only after the MOO stage, so the fail-fast
-    // check up front is what keeps a typo from wasting the whole run.
-    FlowConfig bad_estimator = cfg;
-    bad_estimator.yield_specs = good_specs;
-    bad_estimator.yield_estimator = "no_such_estimator";
-    EXPECT_THROW((void)YieldFlow(ota, bad_estimator).run(), InvalidInputError);
+    // A zero inflight window is a config error too (the runner used to
+    // rewrite it to 1 silently, deep inside the yield stage).
+    FlowConfig no_window = cfg;
+    no_window.yield_specs = good_specs;
+    no_window.yield_sequential.inflight = 0;
+    EXPECT_THROW((void)YieldFlow(ota, no_window).run(), InvalidInputError);
 }
 
 TEST(Artifacts, YieldTableWrittenWithProbeDeltas) {
@@ -323,7 +322,7 @@ TEST(Flow, RejectsMalformedProbeKnobs) {
     incompatible.yield_sequential.max_samples = 48;
     incompatible.yield_sequential.min_samples = 8;
     incompatible.yield_probe.budget = 8;
-    incompatible.yield_probe.estimator = "single_shift";
+    incompatible.yield_probe.estimator = yield::Estimator::single_shift;
     try {
         (void)YieldFlow(ota, incompatible).run();
         FAIL() << "expected probe-incompatibility error";
@@ -359,7 +358,7 @@ TEST(Flow, ProbesOffBitIdenticalToSeedFlow) {
     knobs.yield_probe.mode = moo::RobustnessMode::constraint;
     knobs.yield_probe.min_yield = 0.8;
     knobs.yield_probe.max_points = 2;
-    knobs.yield_probe.estimator = "single_shift";
+    knobs.yield_probe.estimator = yield::Estimator::single_shift;
     const FlowResult off = YieldFlow(ota, knobs).run();
 
     ASSERT_EQ(off.optimisation.archive.size(), seed.optimisation.archive.size());
@@ -388,6 +387,49 @@ TEST(Flow, ProbesOffBitIdenticalToSeedFlow) {
     }
     EXPECT_EQ(off.timings.probe_points, 0u);
     EXPECT_EQ(off.timings.probe_samples, 0u);
+}
+
+TEST(Flow, DefaultCertificationIsMixtureCe) {
+    // The flow certifies with yield_sequential.estimator, whose default is
+    // mixture_ce: leaving it untouched and naming mixture_ce explicitly
+    // give bit-identical certificates. The gain spec sits inside this
+    // seed's front, so at least one point fails and takes the CE refit.
+    circuits::OtaConfig ota;
+    FlowConfig cfg;
+    cfg.ga.population = 8;
+    cfg.ga.generations = 3;
+    cfg.mc_samples = 12;
+    cfg.max_mc_points = 4;
+    cfg.seed = 77;
+    cfg.yield_specs = {mc::Spec::at_least("gain_db", 58.0),
+                       mc::Spec::at_least("pm_deg", 70.0)};
+    cfg.yield_sequential.pilot_samples = 32;
+    cfg.yield_sequential.chunk_samples = 16;
+    cfg.yield_sequential.max_samples = 96;
+    cfg.yield_sequential.min_samples = 16;
+    const FlowResult by_default = YieldFlow(ota, cfg).run();
+
+    FlowConfig named = cfg;
+    named.yield_sequential.estimator = yield::Estimator::mixture_ce;
+    const FlowResult explicit_ce = YieldFlow(ota, named).run();
+
+    ASSERT_FALSE(by_default.yields.empty());
+    ASSERT_EQ(by_default.yields.size(), explicit_ce.yields.size());
+    std::size_t refits = 0;
+    for (std::size_t i = 0; i < by_default.yields.size(); ++i) {
+        const auto& a = by_default.yields[i];
+        const auto& b = explicit_ce.yields[i];
+        EXPECT_EQ(a.design_id, b.design_id);
+        EXPECT_EQ(a.result.estimate.yield, b.result.estimate.yield);
+        EXPECT_EQ(a.result.estimate.ci_low, b.result.estimate.ci_low);
+        EXPECT_EQ(a.result.estimate.ci_high, b.result.estimate.ci_high);
+        EXPECT_EQ(a.result.estimate.ess, b.result.estimate.ess);
+        EXPECT_EQ(a.result.samples_used, b.result.samples_used);
+        EXPECT_EQ(a.result.pilot_samples, b.result.pilot_samples);
+        EXPECT_EQ(a.result.refinements, b.result.refinements);
+        refits += a.result.refinements;
+    }
+    EXPECT_GT(refits, 0u);
 }
 
 TEST(Flow, ProbesOnSmokeReportsAndPropagates) {

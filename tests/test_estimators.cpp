@@ -1,7 +1,7 @@
 // Conformance suite for the yield estimator zoo (yield/estimator.hpp): the
-// contracts every *registered* estimator must satisfy, enforced by looping
-// over the registry rather than naming estimators in each test - a newly
-// registered estimator inherits the whole suite for free.
+// contracts every member of yield::kEstimators must satisfy, enforced by
+// looping over kEstimators rather than naming estimators in each test - a
+// new zoo member inherits the whole suite for free.
 //
 //  - clean-sweep Wilson reduction: on a scenario with no failures every
 //    estimator's estimate reduces bit-identically to the unweighted
@@ -12,15 +12,15 @@
 //  - home-scenario sanity: every estimator reaches the CI target on the
 //    cheap synthetic bimodal scenario within its cap.
 //
-// Plus a unit test for the CE scale adaptation in the shift fit.
+// Plus the name <-> enum helpers and a unit test for the CE scale
+// adaptation in the shift fit.
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "eval/engine.hpp"
@@ -36,12 +36,7 @@
 namespace {
 
 using namespace ypm;
-
-// The built-in zoo, spelled out rather than taken from names(): tests may
-// register extra estimators in the shared registry, and the conformance
-// loops must stay deterministic regardless of test order.
-const std::vector<std::string> kBuiltins = {"mixture_ce", "mixture_ce_scale",
-                                            "plain_mc", "single_shift"};
+using yield::Estimator;
 
 eval::Engine make_engine() {
     eval::EngineConfig config;
@@ -50,85 +45,68 @@ eval::Engine make_engine() {
 }
 
 yield::SequentialYieldResult run_estimator(const yield::Scenario& sc,
-                                           const std::string& name,
+                                           Estimator estimator,
                                            std::size_t inflight = 1) {
     eval::Engine engine = make_engine();
-    yield::SequentialConfig base = sc.config;
-    base.inflight = inflight;
-    return yield::EstimatorRegistry::instance().create(name)->estimate(
-        engine, base, sc.specs, sc.factory, sc.dimension, Rng(73));
+    yield::SequentialConfig config = sc.config;
+    config.estimator = estimator;
+    config.inflight = inflight;
+    yield::SequentialYieldRunner runner(engine, config, sc.specs, sc.factory,
+                                        sc.dimension, Rng(73));
+    return runner.run();
 }
 
-// ---------------------------------------------------------------- registry
+// ------------------------------------------------------------------- names
 
-TEST(EstimatorRegistry, KnowsTheBuiltinZoo) {
-    const auto& registry = yield::EstimatorRegistry::instance();
-    const std::vector<std::string> names = registry.names();
-    for (const std::string& name : kBuiltins) {
-        EXPECT_TRUE(registry.contains(name)) << name;
-        const auto estimator = registry.create(name);
-        ASSERT_NE(estimator, nullptr);
-        EXPECT_EQ(estimator->name(), name);
-        EXPECT_NE(std::find(names.begin(), names.end(), name), names.end());
+TEST(Estimator, ZooIsExactlyTheFourMembers) {
+    // The matrix gate (scripts/check_matrix.py ALL_ESTIMATORS) expects
+    // exactly these names, in this order.
+    std::vector<std::string> names;
+    for (const Estimator e : yield::kEstimators)
+        names.emplace_back(yield::estimator_name(e));
+    EXPECT_EQ(names, (std::vector<std::string>{"plain_mc", "single_shift",
+                                               "mixture_ce",
+                                               "mixture_ce_scale"}));
+}
+
+TEST(Estimator, NamesRoundTripThroughParse) {
+    for (const Estimator e : yield::kEstimators)
+        EXPECT_EQ(yield::parse_estimator(yield::estimator_name(e)), e)
+            << yield::estimator_name(e);
+}
+
+TEST(Estimator, UnknownNameListsEveryMember) {
+    // The unknown-name error lists the zoo, so a typo points straight at
+    // the valid spellings.
+    for (const std::string bad : {"no_such_estimator", "", "Plain_MC"}) {
+        try {
+            (void)yield::parse_estimator(bad);
+            FAIL() << "expected InvalidInputError for '" << bad << "'";
+        } catch (const InvalidInputError& e) {
+            const std::string what = e.what();
+            for (const Estimator member : yield::kEstimators)
+                EXPECT_NE(what.find(yield::estimator_name(member)),
+                          std::string::npos)
+                    << what;
+        }
     }
-    // And nothing else is built in: every registered name outside the
-    // test-only `test_` prefix is one of kBuiltins, so a zoo member cannot
-    // come back without the conformance loops below running over it.
-    std::vector<std::string> builtin_names;
-    for (const std::string& name : names)
-        if (name.rfind("test_", 0) != 0) builtin_names.push_back(name);
-    EXPECT_EQ(builtin_names, kBuiltins);
 }
 
-TEST(EstimatorRegistry, RejectsUnknownDuplicateAndMalformed) {
-    auto& registry = yield::EstimatorRegistry::instance();
-    // The unknown-name error lists the registry, so a config typo points
-    // straight at the zoo.
-    try {
-        (void)registry.create("no_such_estimator");
-        FAIL() << "expected InvalidInputError";
-    } catch (const InvalidInputError& e) {
-        EXPECT_NE(std::string(e.what()).find("plain_mc"), std::string::npos);
-    }
-    EXPECT_FALSE(registry.contains("no_such_estimator"));
-    EXPECT_THROW(registry.add("plain_mc", [] {
-        return std::unique_ptr<yield::YieldEstimator>();
-    }),
-                 InvalidInputError);
-    EXPECT_THROW(registry.add("", [] {
-        return std::unique_ptr<yield::YieldEstimator>();
-    }),
-                 InvalidInputError);
-    EXPECT_THROW(registry.add("null_factory", {}), InvalidInputError);
-}
-
-TEST(EstimatorRegistry, MethodKnobsDoNotLeakAcrossEstimators) {
-    // A scenario base carrying another estimator's method knobs must not
-    // change what a given estimator runs: plain_mc stays plain MC even
-    // when handed a base config asking for CE refits and scale adaptation.
+TEST(Estimator, RegistryAdapterOnlySetsTheEstimator) {
+    // The name -> enum adapter the repository benchmark selects its
+    // certifier through: it sets the estimator and nothing else.
     yield::SequentialConfig base;
-    base.refine_after_chunks = 2;
-    base.max_refits = 3;
-    base.shift_fit.adapt_scale = true;
-
-    const auto& registry = yield::EstimatorRegistry::instance();
-    const auto plain = registry.create("plain_mc")->configure(base);
-    EXPECT_EQ(plain.pilot_samples, 0u);
-    EXPECT_EQ(plain.refine_after_chunks, 0u);
-    EXPECT_FALSE(plain.shift_fit.adapt_scale);
-
-    const auto single = registry.create("single_shift")->configure(base);
-    EXPECT_FALSE(single.mixture_proposal);
-    EXPECT_EQ(single.refine_after_chunks, 0u);
-
-    // And the problem-level knobs pass through untouched.
-    const auto ce = registry.create("mixture_ce")->configure(base);
-    EXPECT_EQ(ce.refine_after_chunks, 2u); // scenario override respected
-    EXPECT_EQ(ce.max_refits, 3u);
-    EXPECT_FALSE(ce.shift_fit.adapt_scale);
-
-    const auto scale = registry.create("mixture_ce_scale")->configure(base);
-    EXPECT_TRUE(scale.shift_fit.adapt_scale);
+    base.estimator = Estimator::plain_mc;
+    base.pilot_samples = 256;
+    base.max_samples = 8192;
+    const yield::SequentialConfig c =
+        yield::EstimatorRegistry::instance().create("mixture_ce")->configure(
+            base);
+    EXPECT_EQ(c.estimator, Estimator::mixture_ce);
+    EXPECT_EQ(c.pilot_samples, 256u);
+    EXPECT_EQ(c.max_samples, 8192u);
+    EXPECT_THROW((void)yield::EstimatorRegistry::instance().create("nope"),
+                 InvalidInputError);
 }
 
 // ------------------------------------------------------------- conformance
@@ -139,11 +117,12 @@ TEST(EstimatorConformance, CleanSweepReducesToWilson) {
     // exactly 0 - so every estimator must report the *unweighted* Wilson
     // numbers, bit-identical to plain MC's main stage.
     const yield::Scenario sc = yield::make_scenario("clean_sweep");
-    const auto plain = run_estimator(sc, "plain_mc");
+    const auto plain = run_estimator(sc, Estimator::plain_mc);
     ASSERT_FALSE(plain.estimate.weighted);
     EXPECT_EQ(plain.estimate.passes, plain.estimate.samples);
-    for (const std::string& name : kBuiltins) {
-        const auto r = run_estimator(sc, name);
+    for (const Estimator e : yield::kEstimators) {
+        const std::string_view name = yield::estimator_name(e);
+        const auto r = run_estimator(sc, e);
         EXPECT_FALSE(r.estimate.weighted) << name;
         EXPECT_EQ(r.samples_used, plain.samples_used) << name;
         EXPECT_EQ(r.estimate.yield, plain.estimate.yield) << name;
@@ -157,10 +136,11 @@ TEST(EstimatorConformance, InflightInvarianceAndRerunDeterminism) {
     // everything, so inflight = 1 and inflight = 4 are bit-identical, as
     // are reruns with the same seed.
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
-    for (const std::string& name : kBuiltins) {
-        const auto a = run_estimator(sc, name, 1);
-        const auto b = run_estimator(sc, name, 4);
-        const auto c = run_estimator(sc, name, 1);
+    for (const Estimator e : yield::kEstimators) {
+        const std::string_view name = yield::estimator_name(e);
+        const auto a = run_estimator(sc, e, 1);
+        const auto b = run_estimator(sc, e, 4);
+        const auto c = run_estimator(sc, e, 1);
         EXPECT_EQ(a.samples_used, b.samples_used) << name;
         EXPECT_EQ(a.refinements, b.refinements) << name;
         EXPECT_EQ(a.estimate.yield, b.estimate.yield) << name;
@@ -179,8 +159,9 @@ TEST(EstimatorConformance, ReachesTargetOnSyntheticBimodal) {
     // efficiency is the bench matrix's job, not this suite's.)
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     const double p_true = 1.0 - (1.0 - 1.349898e-3) * (1.0 - 1.349898e-3);
-    for (const std::string& name : kBuiltins) {
-        const auto r = run_estimator(sc, name);
+    for (const Estimator e : yield::kEstimators) {
+        const std::string_view name = yield::estimator_name(e);
+        const auto r = run_estimator(sc, e);
         EXPECT_TRUE(r.reached_target) << name;
         EXPECT_LE(r.samples_used, sc.config.max_samples) << name;
         EXPECT_NEAR(1.0 - r.estimate.yield, p_true, 5e-3) << name;
@@ -196,9 +177,8 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     const std::vector<mc::Spec> specs = {mc::Spec::at_most("v", 3.0)};
     const std::vector<std::vector<double>> rows = {{4.0, 0.0, 4.0},
                                                    {6.0, 0.0, 6.0}};
-    yield::ShiftFitConfig config;
-    config.adapt_scale = true;
-    const auto fit = yield::refit_shift(rows, specs, 1, config);
+    const yield::ShiftFitConfig config;
+    const auto fit = yield::refit_shift(rows, specs, 1, config, true);
     ASSERT_EQ(fit.mixture.components.size(), 2u); // nominal + 1 spec
     const auto& comp = fit.mixture.components[1];
     EXPECT_DOUBLE_EQ(comp.mu[0], 4.0); // norm clamp at max_norm = 4
@@ -209,18 +189,18 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     // clamp keeps the component from over-shrinking into weight spikes.
     const std::vector<std::vector<double>> tight = {{3.5, 0.0, 3.5},
                                                     {3.6, 0.0, 3.6}};
-    const auto shrunk = yield::refit_shift(tight, specs, 1, config);
+    const auto shrunk = yield::refit_shift(tight, specs, 1, config, true);
     ASSERT_EQ(shrunk.mixture.components.size(), 2u);
     ASSERT_EQ(shrunk.mixture.components[1].sigma.size(), 1u);
     EXPECT_DOUBLE_EQ(shrunk.mixture.components[1].sigma[0], config.min_scale);
 
     // A single failing record carries no spread information: unit scale.
     const std::vector<std::vector<double>> lone = {{4.0, 0.0, 4.0}};
-    const auto single = yield::refit_shift(lone, specs, 1, config);
+    const auto single = yield::refit_shift(lone, specs, 1, config, true);
     ASSERT_EQ(single.mixture.components.size(), 2u);
     EXPECT_TRUE(single.mixture.components[1].sigma.empty());
 
-    // The pilot fit never adapts scales, whatever the config says.
+    // The pilot fit never adapts scales.
     const auto pilot = yield::fit_shift(rows, specs, 1, config);
     ASSERT_EQ(pilot.mixture.components.size(), 2u);
     EXPECT_TRUE(pilot.mixture.components[1].sigma.empty());
@@ -229,91 +209,59 @@ TEST(ShiftFitScale, LearnsWeightedSpreadAroundClampedCenter) {
     yield::ShiftFitConfig bad = config;
     bad.min_scale = 2.0;
     bad.max_scale = 1.0;
-    EXPECT_THROW((void)yield::refit_shift(rows, specs, 1, bad),
+    EXPECT_THROW((void)yield::refit_shift(rows, specs, 1, bad, true),
                  InvalidInputError);
-}
-
-// ------------------------------------------------------ custom registration
-
-TEST(EstimatorRegistry, CustomEstimatorRunsThroughTheSameSeam) {
-    // The "how to add an estimator" path: subclass, register under a new
-    // name, run through the same estimate() seam as the built-ins.
-    class WidePilot final : public yield::YieldEstimator {
-    public:
-        [[nodiscard]] std::string_view name() const override {
-            return "test_wide_pilot";
-        }
-        [[nodiscard]] yield::SequentialConfig
-        configure(yield::SequentialConfig base) const override {
-            base.pilot_scale = 3.0;
-            return base;
-        }
-    };
-    auto& registry = yield::EstimatorRegistry::instance();
-    if (!registry.contains("test_wide_pilot"))
-        registry.add("test_wide_pilot",
-                     [] { return std::make_unique<WidePilot>(); });
-    const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
-    const auto r = run_estimator(sc, "test_wide_pilot");
-    EXPECT_TRUE(r.reached_target);
-    EXPECT_TRUE(r.estimate.weighted);
 }
 
 // ------------------------------------------------------------- yield probes
 
 yield::ProbeConfig probe_config_for(const yield::Scenario& sc,
-                                    const std::string& estimator,
-                                    std::size_t budget,
+                                    Estimator estimator, std::size_t budget,
                                     std::size_t inflight = 1) {
     yield::ProbeConfig config;
     config.sequential = sc.config;
+    config.sequential.estimator = estimator;
     config.sequential.inflight = inflight;
-    config.estimator = estimator;
     config.budget = budget;
     config.target_half_width = 0.08;
     return config;
 }
 
-TEST(YieldProbe, RegistryDrivenBudgetCompatibilityRows) {
+TEST(YieldProbe, BudgetCompatibilityRows) {
     // Zoo-wide contract of configure_probe_estimator: at a generous budget
-    // every builtin specializes with its caps clamped to the budget left
-    // after its pilot; at a budget the pilot alone exceeds, the estimator
-    // is rejected with the probe-compatible subset (which always includes
-    // the pilot-less plain_mc) listed - never silently degraded.
+    // every member keeps its caps clamped to the budget left after its
+    // pilot; at a budget the pilot alone exceeds, the estimator is rejected
+    // with the probe-compatible subset (which always includes the
+    // pilot-less plain_mc) listed - never silently degraded.
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     ASSERT_EQ(sc.config.pilot_samples, 256u);
-    for (const std::string& name : kBuiltins) {
-        const auto cfg =
-            yield::configure_probe_estimator(name, sc.config, 1024, 0.08);
-        EXPECT_EQ(cfg.max_samples, 1024 - cfg.pilot_samples) << name;
+    for (const Estimator e : yield::kEstimators) {
+        const std::string name(yield::estimator_name(e));
+        yield::SequentialConfig base = sc.config;
+        base.estimator = e;
+        const auto cfg = yield::configure_probe_estimator(base, 1024, 0.08);
+        EXPECT_EQ(cfg.estimator, e) << name;
+        EXPECT_EQ(cfg.max_samples, 1024 - cfg.effective_pilot_samples())
+            << name;
         EXPECT_LE(cfg.chunk_samples, cfg.max_samples) << name;
         EXPECT_LE(cfg.min_samples, cfg.max_samples) << name;
         EXPECT_DOUBLE_EQ(cfg.target_half_width, 0.08) << name;
 
-        if (name == "plain_mc") {
-            const auto tiny =
-                yield::configure_probe_estimator(name, sc.config, 8, 0.08);
-            EXPECT_EQ(tiny.pilot_samples, 0u);
+        if (e == Estimator::plain_mc) {
+            const auto tiny = yield::configure_probe_estimator(base, 8, 0.08);
+            EXPECT_EQ(tiny.effective_pilot_samples(), 0u);
             EXPECT_EQ(tiny.max_samples, 8u);
             continue;
         }
         try {
-            (void)yield::configure_probe_estimator(name, sc.config, 8, 0.08);
+            (void)yield::configure_probe_estimator(base, 8, 0.08);
             FAIL() << name << ": expected probe-incompatibility error";
-        } catch (const InvalidInputError& e) {
-            const std::string what = e.what();
+        } catch (const InvalidInputError& err) {
+            const std::string what = err.what();
             EXPECT_NE(what.find(name), std::string::npos) << what;
             EXPECT_NE(what.find("plain_mc"), std::string::npos) << what;
         }
     }
-    // Unknown names still fail with the registry's own listing error.
-    EXPECT_THROW((void)yield::configure_probe_estimator("no_such_estimator",
-                                                        sc.config, 1024, 0.08),
-                 InvalidInputError);
-    // The empty name resolves to plain_mc (the flow default).
-    const auto def = yield::configure_probe_estimator("", sc.config, 64, 0.08);
-    EXPECT_EQ(def.pilot_samples, 0u);
-    EXPECT_EQ(def.max_samples, 64u);
 }
 
 TEST(YieldProbe, DeterministicAcrossInflightWindowsAndReruns) {
@@ -326,7 +274,7 @@ TEST(YieldProbe, DeterministicAcrossInflightWindowsAndReruns) {
     const auto run_with_window = [&](std::size_t inflight) {
         eval::Engine engine = make_engine();
         yield::YieldProbe probe(
-            probe_config_for(sc, "mixture_ce", 768, inflight), sc.specs,
+            probe_config_for(sc, Estimator::mixture_ce, 768, inflight), sc.specs,
             [&](const std::vector<double>&) { return sc.factory; },
             sc.dimension);
         return probe.probe(engine, points, Rng(73), 0);
@@ -359,7 +307,7 @@ TEST(YieldProbe, WarmStartSkipsPilotAtSameCI) {
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     const std::vector<std::vector<double>> point = {{0.0}};
     eval::Engine engine = make_engine();
-    yield::YieldProbe probe(probe_config_for(sc, "single_shift", 768),
+    yield::YieldProbe probe(probe_config_for(sc, Estimator::single_shift, 768),
                             sc.specs,
                             [&](const std::vector<double>&) { return sc.factory; },
                             sc.dimension);
@@ -420,13 +368,13 @@ TEST(YieldProbe, RunnerWarmStartSeamValidation) {
 TEST(YieldProbe, RejectsMalformedConstruction) {
     const yield::Scenario sc = yield::make_scenario("synthetic_bimodal");
     const auto factory = [&](const std::vector<double>&) { return sc.factory; };
-    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, "", 0), sc.specs,
+    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, Estimator::plain_mc, 0), sc.specs,
                                    factory, sc.dimension),
                  InvalidInputError);
-    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, "", 64), {}, factory,
+    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, Estimator::plain_mc, 64), {}, factory,
                                    sc.dimension),
                  InvalidInputError);
-    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, "", 64), sc.specs, {},
+    EXPECT_THROW(yield::YieldProbe(probe_config_for(sc, Estimator::plain_mc, 64), sc.specs, {},
                                    sc.dimension),
                  InvalidInputError);
 }

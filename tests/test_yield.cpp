@@ -666,7 +666,7 @@ TEST(SequentialYield, ImportanceSamplingBeatsPlainMcOnRareSpec) {
 
     eval::Engine plain_engine = make_engine();
     yield::SequentialConfig plain_config = config;
-    plain_config.pilot_samples = 0; // zero shift: plain sequential MC
+    plain_config.estimator = yield::Estimator::plain_mc;
     yield::SequentialYieldRunner plain_runner(
         plain_engine, plain_config, specs, synthetic_factory(0.0, 1.0), 1, Rng(5));
     const auto plain = plain_runner.run();
@@ -775,22 +775,22 @@ TEST(SequentialYield, MixtureRecoversEssWhereSingleShiftCollapses) {
     // and a tighter interval, and its estimate must be right.
     const yield::Scenario bimodal = yield::make_scenario("synthetic_bimodal");
     const double p_true = 1.0 - (1.0 - 1.349898e-3) * (1.0 - 1.349898e-3);
-    auto run_mode = [&](bool mixture) {
+    auto run_mode = [&](yield::Estimator estimator) {
         eval::Engine engine = make_engine();
         yield::SequentialConfig config;
+        config.estimator = estimator;
         config.pilot_samples = 512;
         config.pilot_scale = 2.5;
         config.chunk_samples = 256;
         config.max_samples = 4096;
         config.min_samples = 512;
-        config.mixture_proposal = mixture;
         yield::SequentialYieldRunner runner(engine, config, bimodal.specs,
                                             bimodal.factory,
                                             bimodal.dimension, Rng(57));
         return runner.run();
     };
-    const auto single = run_mode(false);
-    const auto mixture = run_mode(true);
+    const auto single = run_mode(yield::Estimator::single_shift);
+    const auto mixture = run_mode(yield::Estimator::mixture_ce);
 
     EXPECT_TRUE(single.estimate.weighted);
     EXPECT_TRUE(mixture.estimate.weighted);
@@ -815,16 +815,14 @@ TEST(SequentialYield, CeRefinementDeterministicAcrossInflightWindows) {
     auto run_with_inflight = [&](std::size_t inflight) {
         eval::Engine engine = make_engine();
         yield::SequentialConfig config;
+        config.estimator = yield::Estimator::mixture_ce;
         config.pilot_samples = 256;
         config.pilot_scale = 2.5;
-        config.chunk_samples = 64;
+        config.chunk_samples = 64; // the refit lands before min_samples
         config.max_samples = 4096;
         config.min_samples = 256;
         config.target_half_width = 5e-4;
         config.inflight = inflight;
-        config.refine_after_chunks = 2; // refit before the min_samples floor
-        config.max_refits = 2;
-        config.refit_min_failures = 4;
         yield::SequentialYieldRunner runner(
             engine, config, specs, synthetic_factory(0.0, 1.0), 1, Rng(21));
         return runner.run();
@@ -832,7 +830,7 @@ TEST(SequentialYield, CeRefinementDeterministicAcrossInflightWindows) {
     const auto a = run_with_inflight(1);
     const auto b = run_with_inflight(4);
 
-    EXPECT_GE(a.refinements, 1u); // the CE path actually ran
+    EXPECT_EQ(a.refinements, yield::kMaxRefits); // the CE path actually ran
     EXPECT_EQ(a.refinements, b.refinements);
     EXPECT_EQ(a.samples_used, b.samples_used);
     EXPECT_EQ(a.estimate.yield, b.estimate.yield);
@@ -1034,7 +1032,8 @@ TEST(SequentialYield, NoEarlyStopOnZeroFailureEvidenceUnderActiveWeights) {
     // a bound the sampling never supported. The runner must keep sampling
     // until it sees failure evidence (ess > 0) or hits the cap.
     const std::vector<mc::Spec> specs = {mc::Spec::at_least("v", 0.0)};
-    // Kernel with active weights but no failures ever observed.
+    // Kernel with active weights but no failures ever observed. It ignores
+    // record_u, so the run must not ask for u records (no CE refit).
     const yield::KernelFactory factory =
         [](const process::ProposalMixture&, bool) -> mc::ChunkSampleFn {
         return [](std::span<const std::size_t>, std::span<Rng> rngs) {
@@ -1048,7 +1047,7 @@ TEST(SequentialYield, NoEarlyStopOnZeroFailureEvidenceUnderActiveWeights) {
     };
     eval::Engine engine = make_engine();
     yield::SequentialConfig config;
-    config.pilot_samples = 0;
+    config.estimator = yield::Estimator::plain_mc;
     config.chunk_samples = 64;
     config.max_samples = 512;
     config.min_samples = 64;
@@ -1074,6 +1073,14 @@ TEST(SequentialYield, RunnerValidatesConfig) {
                  InvalidInputError);
     yield::SequentialConfig ok;
     EXPECT_THROW(yield::SequentialYieldRunner(engine, ok, {},
+                                              synthetic_factory(0.0, 1.0), 1,
+                                              Rng(1)),
+                 InvalidInputError);
+    // Regression: a zero inflight window used to be rewritten to 1
+    // silently; it is a config error like a zero chunk size.
+    yield::SequentialConfig no_window;
+    no_window.inflight = 0;
+    EXPECT_THROW(yield::SequentialYieldRunner(engine, no_window, specs,
                                               synthetic_factory(0.0, 1.0), 1,
                                               Rng(1)),
                  InvalidInputError);
