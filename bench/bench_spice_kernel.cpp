@@ -6,10 +6,9 @@
 // caught before they hit the multi-minute experiments. The chunk benchmarks
 // at the bottom report the headline engine number: per-point testbench
 // rebuild vs prototype-reuse batch evaluation at paper-scale chunk sizes
-// (population 100), with a cross-check between the two paths: bit-identical
-// on the dense AC path (behavioural filter), within the reduced-sweep
-// tolerances where the prototype takes the Hessenberg-reduced sweep (OTA,
-// transistor-level filter).
+// (population 100), with a cross-check between the two paths: within the
+// reduced-sweep tolerances, since the prototype takes the Hessenberg-reduced
+// sweep for every circuit (OTA, transistor-level and behavioural filter).
 
 #include <benchmark/benchmark.h>
 
@@ -52,10 +51,6 @@ std::vector<circuits::OtaSizing> sizing_chunk(std::size_t n) {
         out.push_back(circuits::OtaSizing::from_vector(v));
     }
     return out;
-}
-
-bool bits_equal(double a, double b) {
-    return std::memcmp(&a, &b, sizeof a) == 0;
 }
 
 /// |a - b| <= tol, with NaN == NaN (failure sentinels).
@@ -152,15 +147,10 @@ bool filter_chunk_matches_scalar(
         if (rebuilt.valid != chunk[i].valid) return false;
         if (!rebuilt.valid) continue;
         const double fc = rebuilt.fc;
-        const double dev = rebuilt.worst_passband_dev_db;
-        // Behavioural macromodels stay on the dense AC path: bit-identical.
-        const bool ok =
-            kind == circuits::OtaModelKind::behavioural
-                ? bits_equal(fc, chunk[i].fc) &&
-                      bits_equal(dev, chunk[i].worst_passband_dev_db)
-                : near(fc, chunk[i].fc, kFreqRelTol * std::fabs(fc)) &&
-                      near(dev, chunk[i].worst_passband_dev_db, kPassbandTolDb);
-        if (!ok) return false;
+        if (!near(fc, chunk[i].fc, kFreqRelTol * std::fabs(fc)) ||
+            !near(rebuilt.worst_passband_dev_db, chunk[i].worst_passband_dev_db,
+                  kPassbandTolDb))
+            return false;
     }
     return true;
 }

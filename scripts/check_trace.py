@@ -19,7 +19,12 @@ Checks, in order:
     flow.yield + flow.table);
  6. the embedded metrics snapshot agrees with the flow.run span's engine
     ledger arguments (requests / evaluations / cache_hits - same run, same
-    process, so the process-wide counters must match the ledger exactly).
+    process, so the process-wide counters must match the ledger exactly);
+ 7. AC sweeps take the Hessenberg-reduced path: guard fallbacks are at most
+    1 % of all sweeps (spice.ac.reduced_sweeps + spice.ac.dense_sweeps),
+    and every dense sweep is a guard fallback (spice.ac.dense_sweeps ==
+    spice.ac.guard_fallbacks; a sweep that starts dense means a device
+    stopped recording frequency-affine terms).
 
 Exit status 0 when every check passes; 1 with a message otherwise.
 """
@@ -39,6 +44,10 @@ REQUIRED_SPANS = [
 ]
 
 CHUNK_ARGS = ["samples", "ess", "max_weight_share", "half_width"]
+
+# Largest share of AC sweeps the reduced path may hand to the dense guard
+# fallback.
+MAX_FALLBACK_SHARE = 0.01
 
 # Export rounds timestamps to 1/1000 us; containment comparisons allow one
 # rounding step on each side.
@@ -141,12 +150,37 @@ def main():
                 f"with the flow.run ledger arg {ledger_arg}={run_args[ledger_arg]}"
             )
 
+    # --- AC sweeps stay on the reduced path.
+    ac = {}
+    for name in ("reduced_sweeps", "dense_sweeps", "guard_fallbacks"):
+        key = f"spice.ac.{name}"
+        if key not in counters:
+            fail(f"metrics snapshot lacks the counter {key}")
+        ac[name] = counters[key]
+    sweeps = ac["reduced_sweeps"] + ac["dense_sweeps"]
+    if sweeps == 0:
+        fail("no AC sweep recorded (spice.ac.* counters are all zero)")
+    if ac["dense_sweeps"] != ac["guard_fallbacks"]:
+        fail(
+            f"spice.ac.dense_sweeps={ac['dense_sweeps']} differs from "
+            f"spice.ac.guard_fallbacks={ac['guard_fallbacks']}: a sweep "
+            f"started on the dense path"
+        )
+    fallback_share = ac["guard_fallbacks"] / sweeps
+    if fallback_share > MAX_FALLBACK_SHARE:
+        fail(
+            f"spice.ac.guard_fallbacks={ac['guard_fallbacks']} is "
+            f"{fallback_share:.1%} of {sweeps} AC sweeps "
+            f"(limit {MAX_FALLBACK_SHARE:.0%})"
+        )
+
     kernels = len(by_name["engine.kernel"])
     batches = len(by_name["engine.batch"])
     chunks = len(by_name["yield.chunk"])
     print(
         f"check_trace: OK: {len(events)} events, {batches} engine batches, "
         f"{kernels} kernel spans, {chunks} yield chunks, "
+        f"{sweeps} AC sweeps ({ac['guard_fallbacks']} fallbacks), "
         f"flow.run {run['dur'] / 1e3:.1f} ms"
     )
 

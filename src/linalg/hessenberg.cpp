@@ -75,12 +75,22 @@ bool HessenbergPencil::reduce(const MatrixD& k, const MatrixD& c, double s0,
     } catch (const NumericalError&) {
         return false;
     }
-    // W = [M | Re y | Im y | 0 | 0], then append the probe unit vectors.
+    // W = [M | Re y | Im y | 0 | 0].
     lu_.solve_columns(a0_, work_);
     for (const double v : work_.data())
         if (!std::isfinite(v)) return false;
-    work_(probe_a, n + 2) = 1.0;
-    work_(probe_b, n + 3) = 1.0;
+
+    // M -> D^-1 M D; then (I + sigma M) x = y becomes
+    // (I + sigma D^-1 M D) x' = D^-1 y with x = D x', so y is scaled by
+    // D^-1 and the probes read d_a x'_a, d_b x'_b. D is a power of two, so
+    // every scaling is exact.
+    balance();
+    for (std::size_t i = 0; i < n; ++i) {
+        work_(i, n) /= d_[i];
+        work_(i, n + 1) /= d_[i];
+    }
+    work_(probe_a, n + 2) = d_[probe_a];
+    work_(probe_b, n + 3) = d_[probe_b];
 
     // Householder reduction of M to upper Hessenberg form (Golub & Van
     // Loan, Alg. 7.4.2). Step k zeroes column k below the subdiagonal with
@@ -130,6 +140,59 @@ bool HessenbergPencil::reduce(const MatrixD& k, const MatrixD& c, double s0,
     }
     ready_ = true;
     return true;
+}
+
+void HessenbergPencil::balance() {
+    // Parlett & Reinsch (1969) / EISPACK balanc without the permutation
+    // step: scale row i by 1/f and column i by f, f a power of two, while
+    // that cuts the off-diagonal 1-norms c + r of row and column i by at
+    // least 5 %. A row or column with no off-diagonal mass stays unscaled,
+    // and so does one whose norms leave [2^-500, 2^500], which keeps f,
+    // every scaled entry and both power-of-two searches finite.
+    constexpr double kRadix = 2.0;
+    constexpr double kRadix2 = kRadix * kRadix;
+    constexpr int kMaxSweeps = 64;
+    const std::size_t n = n_;
+    const std::size_t m = n + 4;
+    double* wk = work_.data().data();
+    d_.assign(n, 1.0);
+    bool done = false;
+    for (int sweep = 0; !done && sweep < kMaxSweeps; ++sweep) {
+        done = true;
+        for (std::size_t i = 0; i < n; ++i) {
+            double c = 0.0;
+            double r = 0.0;
+            for (std::size_t j = 0; j < i; ++j) {
+                c += std::fabs(wk[j * m + i]);
+                r += std::fabs(wk[i * m + j]);
+            }
+            for (std::size_t j = i + 1; j < n; ++j) {
+                c += std::fabs(wk[j * m + i]);
+                r += std::fabs(wk[i * m + j]);
+            }
+            if (!(c > 0x1p-500 && r > 0x1p-500 && c + r < 0x1p500)) continue;
+            const double sum = c + r;
+            double f = 1.0;
+            double g = r / kRadix;
+            while (c < g) {
+                f *= kRadix;
+                c *= kRadix2;
+            }
+            g = r * kRadix;
+            while (c >= g) {
+                f /= kRadix;
+                c /= kRadix2;
+            }
+            if ((c + r) / f >= 0.95 * sum) continue;
+            done = false;
+            d_[i] *= f;
+            const double inv_f = 1.0 / f; // exact: f is a power of two
+            for (std::size_t j = 0; j < n; ++j) {
+                wk[i * m + j] *= inv_f;
+                wk[j * m + i] *= f;
+            }
+        }
+    }
 }
 
 bool HessenbergPencil::solve(double omega, C& x_a, C& x_b) {

@@ -18,6 +18,19 @@
 /// The reduction is O(n^3) once, in real arithmetic; each frequency is
 /// O(n^2) complex. Only the rows of Q for two probed unknowns are kept, so
 /// a frequency returns those two unknowns, not the whole solution.
+///
+/// Before the Householder step M is balanced by an exact power-of-two
+/// diagonal similarity D^-1 M D (Parlett & Reinsch, "Balancing a matrix for
+/// calculation of eigenvalues and eigenvectors", Numer. Math. 13, 1969;
+/// LAPACK dgebal without permutations), and Q H Q^T reduces that instead:
+///
+///     x(s) = D Q w,   (I + (s - s0) H) w = Q^T D^-1 y.
+///
+/// MNA pencils mix element values many decades apart (a 1e6 H bias
+/// inductor and a 1 F AC ground beside fF device capacitances); unbalanced,
+/// M's row and column norms spread as widely and the reduction loses
+/// digits at the sweep's ends. Balancing changes no eigenvalue and, being
+/// exact in binary, adds no rounding of its own.
 
 #include <complex>
 #include <cstddef>
@@ -46,19 +59,23 @@ public:
     [[nodiscard]] bool solve(double omega, std::complex<double>& x_a,
                              std::complex<double>& x_b);
 
-    /// The reduced H of M = Q H Q^T (n x n, exact zeros below the
-    /// subdiagonal). A copy, for inspection.
+    /// The reduced H of the balanced D^-1 M D = Q H Q^T (n x n, exact
+    /// zeros below the subdiagonal). A copy, for inspection.
     [[nodiscard]] MatrixD hessenberg() const;
 
 private:
+    /// Balance the M block of work_ in place; d_ receives D's diagonal.
+    void balance();
+
     std::size_t n_ = 0;
     double s0_ = 0.0;
     bool ready_ = false;
     MatrixD a0_;
     /// [H | Re z | Im z | q_a | q_b]: n x (n + 4). The reduction runs on
-    /// [M | Re y | Im y | e_a | e_b], so the left reflectors carry y and
-    /// the probe unit vectors along for free.
+    /// [D^-1 M D | D^-1 Re y | D^-1 Im y | d_a e_a | d_b e_b], so the left
+    /// reflectors carry y and the scaled probe vectors along for free.
     MatrixD work_;
+    std::vector<double> d_; ///< balancing diagonal D (powers of two)
     InplaceLu<double> lu_;
     std::vector<double> v_;
     std::vector<double> dots_;

@@ -13,7 +13,7 @@ namespace ypm::linalg {
 /// LU factorisation with row partial pivoting: P*A = L*U.
 /// Factor once, solve for many right-hand sides (the DC Newton loop
 /// re-factors per iteration; the AC sweep factors once per operating point
-/// and re-factors per frequency only on its dense path).
+/// and re-factors per frequency only on its dense guard fallback).
 template <typename T>
 class Lu {
 public:

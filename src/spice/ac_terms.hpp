@@ -2,11 +2,11 @@
 /// \file ac_terms.hpp
 /// \brief Recorded frequency-affine AC stamp terms.
 ///
-/// Most devices' small-signal stamps are affine in the angular frequency:
+/// Every device's small-signal stamp is affine in the angular frequency:
 /// every matrix contribution has the form  entry += k + j*omega*c  with k
 /// and c real and fixed by the operating point, and every rhs contribution
-/// is a frequency-constant phasor. Such devices can record their stamp once
-/// per operating point through AcTermRecorder; an AC sweep then either
+/// is a frequency-constant phasor. Devices record their stamp once per
+/// operating point through AcTermRecorder; an AC sweep then either
 /// *replays* the term list at each frequency instead of re-running the
 /// device models (for a MOSFET that re-evaluation is the full EKV model -
 /// the single hottest call in a sweep), or sums it once into the real

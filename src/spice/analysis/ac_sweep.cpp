@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "obs/metrics.hpp"
-#include "spice/stamper.hpp"
 #include "util/error.hpp"
 #include "util/mathx.hpp"
 
@@ -59,51 +58,21 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
     ws.b_.resize(n);
 
     // Record the frequency-affine stamp plan at this operating point. The
-    // replay-then-fallback split preserves per-entry accumulation order only
-    // if every fallback device follows every affine device in device order;
-    // otherwise abandon the plan and stamp everything per frequency.
+    // recorded rhs terms are frequency-constant, so the excitation vector
+    // builds once per sweep.
     ws.recorder_.reset(n_nodes, n);
-    ws.fallback_.clear();
-    bool plan_ok = true;
-    for (const auto& dev : circuit.devices()) {
-        if (dev->stamp_ac_affine(ws.recorder_, op)) {
-            if (!ws.fallback_.empty()) {
-                plan_ok = false;
-                break;
-            }
-        } else {
-            ws.fallback_.push_back(dev.get());
-        }
-    }
+    for (const auto& dev : circuit.devices())
+        dev->stamp_ac_affine(ws.recorder_, op);
+    std::fill(ws.b_.begin(), ws.b_.end(), C{});
+    ws.recorder_.replay_rhs(ws.b_.data());
 
     const std::size_t out_idx = static_cast<std::size_t>(out) - 1;
     const std::size_t in_idx = static_cast<std::size_t>(in) - 1;
 
-    // Recorded rhs terms are frequency-constant, so when no fallback device
-    // can write the rhs the excitation vector builds once per sweep.
-    const bool rhs_static = plan_ok && ws.fallback_.empty();
-    if (rhs_static) {
-        std::fill(ws.b_.begin(), ws.b_.end(), C{});
-        ws.recorder_.replay_rhs(ws.b_.data());
-    }
-
     // One frequency by stamp replay + dense LU: bit-identical to run_ac.
     const auto dense_point = [&](double omega) -> C {
         ws.a_.set_zero();
-        if (!rhs_static) std::fill(ws.b_.begin(), ws.b_.end(), C{});
-        if (plan_ok) {
-            ws.recorder_.replay_matrix(omega, ws.a_.data().data());
-            if (!ws.fallback_.empty()) {
-                ws.recorder_.replay_rhs(ws.b_.data());
-                ComplexStamper stamper(ws.a_, ws.b_, n_nodes);
-                for (const Device* dev : ws.fallback_)
-                    dev->stamp_ac(stamper, omega, op);
-            }
-        } else {
-            ComplexStamper stamper(ws.a_, ws.b_, n_nodes);
-            for (const auto& dev : circuit.devices())
-                dev->stamp_ac(stamper, omega, op);
-        }
+        ws.recorder_.replay_matrix(omega, ws.a_.data().data());
         // Same conductance floor as run_ac.
         for (std::size_t i = 0; i < n_nodes; ++i) ws.a_(i, i) += 1e-15;
 
@@ -156,18 +125,16 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
         return true;
     };
 
-    AcSweepMetrics& metrics = AcSweepMetrics::get();
     std::vector<C> h;
-    if (rhs_static && !freqs.empty()) {
-        if (reduced_sweep(h)) {
-            metrics.reduced.add();
-            return h;
-        }
-        metrics.fallbacks.add();
+    if (freqs.empty()) return h;
+    AcSweepMetrics& metrics = AcSweepMetrics::get();
+    if (reduced_sweep(h)) {
+        metrics.reduced.add();
+        return h;
     }
+    metrics.fallbacks.add();
     metrics.dense.add();
     h.clear();
-    h.reserve(freqs.size());
     for (double f : freqs) h.push_back(dense_point(omega_of(f)));
     return h;
 }

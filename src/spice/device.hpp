@@ -4,7 +4,10 @@
 ///
 /// A device contributes stamps to the real DC system (re-evaluated every
 /// Newton iteration at the candidate solution) and to the complex AC system
-/// (linearised about the converged operating point). Devices that carry a
+/// (linearised about the converged operating point), the latter twice: per
+/// frequency through stamp_ac (the run_ac reference) and once per operating
+/// point as recorded frequency-affine terms through stamp_ac_affine (the
+/// batch sweeps of analysis/ac_sweep.hpp). Devices that carry a
 /// branch-current unknown (voltage sources, inductors, VCVS) or private
 /// internal nodes (behavioural blocks) declare them and receive their global
 /// indices from Circuit::finalize().
@@ -63,16 +66,12 @@ public:
 
     /// Frequency-affine AC stamp: record this device's stamp_ac as
     /// entry += k + j*omega*c terms (k, c real), evaluated once per
-    /// operating point and replayed or reduced by batch sweeps (see
-    /// ac_terms.hpp for the replay contract). Returns false (the default) when the stamp
-    /// is not affine in omega; the sweep then falls back to per-frequency
-    /// stamp_ac for this device.
-    [[nodiscard]] virtual bool stamp_ac_affine(AcTermRecorder& rec,
-                                               const Solution& op) const {
-        (void)rec;
-        (void)op;
-        return false;
-    }
+    /// operating point and reduced or replayed by batch sweeps (see
+    /// ac_terms.hpp for the replay contract). Every device's small-signal
+    /// stamp is affine in omega (a frequency-dependent gain is written in
+    /// row form, as va::BehaviouralOta does), so every device records one.
+    virtual void stamp_ac_affine(AcTermRecorder& rec,
+                                 const Solution& op) const = 0;
 
     /// Number of transient history slots (e.g. a capacitor stores its
     /// branch current for the trapezoidal companion model).

@@ -13,8 +13,8 @@ public:
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac_affine(AcTermRecorder& rec,
+                         const Solution& op) const override;
 
     /// One history slot: the companion-model branch current (trapezoidal).
     [[nodiscard]] std::size_t tran_state_count() const override { return 1; }

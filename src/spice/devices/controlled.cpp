@@ -28,14 +28,13 @@ void Vcvs::stamp_ac(ComplexStamper& s, double, const Solution&) const {
     s.mat_branch_row(branch(), ctrl_n_, {gain_, 0.0});
 }
 
-bool Vcvs::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Vcvs::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
     rec.mat_branch_col(out_p_, branch(), 1.0);
     rec.mat_branch_col(out_n_, branch(), -1.0);
     rec.mat_branch_row(branch(), out_p_, 1.0);
     rec.mat_branch_row(branch(), out_n_, -1.0);
     rec.mat_branch_row(branch(), ctrl_p_, -gain_);
     rec.mat_branch_row(branch(), ctrl_n_, gain_);
-    return true;
 }
 
 // ------------------------------------------------------------------ VCCS
@@ -59,12 +58,11 @@ void Vccs::stamp_ac(ComplexStamper& s, double, const Solution&) const {
     s.mat(out_n_, ctrl_n_, {gm_, 0.0});
 }
 
-bool Vccs::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void Vccs::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
     rec.mat(out_p_, ctrl_p_, gm_);
     rec.mat(out_p_, ctrl_n_, -gm_);
     rec.mat(out_n_, ctrl_p_, -gm_);
     rec.mat(out_n_, ctrl_n_, gm_);
-    return true;
 }
 
 } // namespace ypm::spice

@@ -17,8 +17,8 @@ public:
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac_affine(AcTermRecorder& rec,
+                         const Solution& op) const override;
 
     [[nodiscard]] double gain() const { return gain_; }
     void set_gain(double gain) { gain_ = gain; }
@@ -37,8 +37,8 @@ public:
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac_affine(AcTermRecorder& rec,
+                         const Solution& op) const override;
 
     [[nodiscard]] double gm() const { return gm_; }
     void set_gm(double gm) { gm_ = gm; }

@@ -269,7 +269,8 @@ void Mosfet::stamp_ac(ComplexStamper& s, double omega, const Solution& op_sol) c
     s.conductance(s_, b_, {0.0, omega * op.csb});
 }
 
-bool Mosfet::stamp_ac_affine(AcTermRecorder& rec, const Solution& op_sol) const {
+void Mosfet::stamp_ac_affine(AcTermRecorder& rec,
+                             const Solution& op_sol) const {
     // The payoff term: the EKV model evaluates once per operating point
     // here, instead of once per frequency in stamp_ac.
     const OpInfo op = op_info(op_sol);
@@ -288,7 +289,6 @@ bool Mosfet::stamp_ac_affine(AcTermRecorder& rec, const Solution& op_sol) const 
     rec.conductance(g_, b_, 0.0, op.cgb);
     rec.conductance(d_, b_, 0.0, op.cdb);
     rec.conductance(s_, b_, 0.0, op.csb);
-    return true;
 }
 
 } // namespace ypm::spice

@@ -13,8 +13,8 @@ public:
 
     void stamp_dc(RealStamper& s, const Solution& x) const override;
     void stamp_ac(ComplexStamper& s, double omega, const Solution& op) const override;
-    [[nodiscard]] bool stamp_ac_affine(AcTermRecorder& rec,
-                                       const Solution& op) const override;
+    void stamp_ac_affine(AcTermRecorder& rec,
+                         const Solution& op) const override;
 
     [[nodiscard]] double resistance() const { return r_; }
     void set_resistance(double r);

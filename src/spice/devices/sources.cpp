@@ -71,13 +71,13 @@ void VoltageSource::stamp_ac(ComplexStamper& s, double, const Solution&) const {
     s.rhs_branch(branch(), ac_phasor());
 }
 
-bool VoltageSource::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void VoltageSource::stamp_ac_affine(AcTermRecorder& rec,
+                                    const Solution&) const {
     rec.mat_branch_col(a_, branch(), 1.0);
     rec.mat_branch_col(b_, branch(), -1.0);
     rec.mat_branch_row(branch(), a_, 1.0);
     rec.mat_branch_row(branch(), b_, -1.0);
     rec.rhs_branch(branch(), ac_phasor());
-    return true;
 }
 
 // --------------------------------------------------------- CurrentSource
@@ -100,12 +100,12 @@ void CurrentSource::stamp_ac(ComplexStamper& s, double, const Solution&) const {
     s.rhs(b_, i);
 }
 
-bool CurrentSource::stamp_ac_affine(AcTermRecorder& rec, const Solution&) const {
+void CurrentSource::stamp_ac_affine(AcTermRecorder& rec,
+                                    const Solution&) const {
     const double ph = mathx::rad_from_deg(ac_phase_deg_);
     const std::complex<double> i{ac_mag_ * std::cos(ph), ac_mag_ * std::sin(ph)};
     rec.rhs(a_, -i);
     rec.rhs(b_, i);
-    return true;
 }
 
 } // namespace ypm::spice

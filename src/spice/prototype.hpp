@@ -18,10 +18,11 @@
 /// re-stamps numerics without reallocating structure. The DC operating
 /// point is bit-identical to building a fresh circuit at the same point
 /// (same device order, same stamp values, same solver trajectory); the AC
-/// sweep matches run_ac on the fresh circuit to rounding where it takes the
-/// Hessenberg-reduced path and bit for bit on the dense path (see
-/// ac_sweep.hpp). Either way a re-bound point depends only on that point:
-/// results never depend on what the instance measured before.
+/// sweep matches run_ac on the fresh circuit to rounding on the
+/// Hessenberg-reduced path every circuit takes, and bit for bit on the
+/// dense guard fallback (see ac_sweep.hpp). Either way a re-bound point
+/// depends only on that point: results never depend on what the instance
+/// measured before.
 ///
 /// Instances are cheap but stateful: one Instance (and one prototype) per
 /// thread. The engine's chunk kernels construct one per chunk.
@@ -106,7 +107,8 @@ public:
         /// AC transfer sweep h[i] = V(out)/V(in) through
         /// ac_sweep_transfer: equal to run_ac + AcResult::transfer on a
         /// fresh build to rounding (reduced path) or bit for bit (dense
-        /// path), and bit-identical across warm and cold instances.
+        /// guard fallback), and bit-identical across warm and cold
+        /// instances.
         [[nodiscard]] std::vector<std::complex<double>>
         ac_transfer(const Solution& op, const std::vector<double>& freqs,
                     NodeId out, NodeId in) {

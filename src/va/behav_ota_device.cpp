@@ -1,6 +1,6 @@
 #include "va/behav_ota_device.hpp"
 
-#include <complex>
+#include <cmath>
 
 #include "util/error.hpp"
 #include "util/mathx.hpp"
@@ -15,12 +15,20 @@ BehaviouralOta::BehaviouralOta(std::string name, spice::NodeId inp,
 }
 
 void BehaviouralOta::set_spec(const BehaviouralOtaSpec& spec) {
-    if (!(spec.rout > 0.0))
-        throw InvalidInputError("BehaviouralOta " + name() + ": rout must be > 0");
-    if (!(spec.f3db > 0.0))
-        throw InvalidInputError("BehaviouralOta " + name() + ": f3db must be > 0");
+    if (!std::isfinite(spec.gain_db))
+        throw InvalidInputError("BehaviouralOta " + name() +
+                                ": gain_db must be finite");
+    if (!(spec.rout > 0.0) || !std::isfinite(spec.rout))
+        throw InvalidInputError("BehaviouralOta " + name() +
+                                ": rout must be finite and > 0");
+    // An infinite pole would pass the AC row (tau = 0) but make the
+    // transient step w_p * dt infinite.
+    if (!(spec.f3db > 0.0) || !std::isfinite(spec.f3db))
+        throw InvalidInputError("BehaviouralOta " + name() +
+                                ": f3db must be finite and > 0");
     spec_ = spec;
     a0_ = mathx::undb20(spec.gain_db);
+    tau_ = 1.0 / (2.0 * mathx::pi * spec.f3db);
 }
 
 void BehaviouralOta::stamp_dc(spice::RealStamper& s, const spice::Solution&) const {
@@ -53,14 +61,22 @@ void BehaviouralOta::stamp_tran(spice::RealStamper& s, const spice::Solution&,
 void BehaviouralOta::stamp_ac(spice::ComplexStamper& s, double omega,
                               const spice::Solution&) const {
     const spice::NodeId u = internal_node();
-    // Single dominant pole: A(jw) = A0 / (1 + j w/wp).
-    const double wp = 2.0 * mathx::pi * spec_.f3db;
-    const std::complex<double> a = a0_ / std::complex<double>(1.0, omega / wp);
+    // Single dominant pole in row form: (1 + j w tau) V(u) = A0 vd.
     s.mat_branch_col(u, branch(), {1.0, 0.0});
-    s.mat_branch_row(branch(), u, {1.0, 0.0});
-    s.mat_branch_row(branch(), inp_, -a);
-    s.mat_branch_row(branch(), inn_, a);
+    s.mat_branch_row(branch(), u, {1.0, omega * tau_});
+    s.mat_branch_row(branch(), inp_, {-a0_, 0.0});
+    s.mat_branch_row(branch(), inn_, {a0_, 0.0});
     s.conductance(u, out_, {1.0 / spec_.rout, 0.0});
+}
+
+void BehaviouralOta::stamp_ac_affine(spice::AcTermRecorder& rec,
+                                     const spice::Solution&) const {
+    const spice::NodeId u = internal_node();
+    rec.mat_branch_col(u, branch(), 1.0);
+    rec.mat_branch_row(branch(), u, 1.0, tau_);
+    rec.mat_branch_row(branch(), inp_, -a0_);
+    rec.mat_branch_row(branch(), inn_, a0_);
+    rec.conductance(u, out_, 1.0 / spec_.rout);
 }
 
 } // namespace ypm::va

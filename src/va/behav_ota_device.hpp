@@ -11,6 +11,17 @@
 /// A(s) = A0 / (1 + j f/fp) plus a series output resistance. Higher-order
 /// (parasitic) poles of the transistor circuit are intentionally not
 /// modelled - reproducing the >40 MHz divergence of paper Fig. 8.
+///
+/// The AC stamp writes the pole in row form: the controlled source's branch
+/// row is multiplied through by (1 + j w tau), tau = 1 / (2 pi fp),
+///
+///     (1 + j w tau) V(u) - A0 (V(inp) - V(inn)) = 0,
+///
+/// the equation stamp_tran integrates. Every entry is then affine in w
+/// (base 1, susceptance tau on (branch, u)), so the macromodel records
+/// frequency-affine terms like every other device and its filters take the
+/// Hessenberg-reduced sweep, with no extra node, branch or pole state. The
+/// transfer function is A(s) unchanged.
 
 #include "spice/device.hpp"
 
@@ -36,18 +47,23 @@ public:
     void stamp_dc(spice::RealStamper& s, const spice::Solution& x) const override;
     void stamp_ac(spice::ComplexStamper& s, double omega,
                   const spice::Solution& op) const override;
+    void stamp_ac_affine(spice::AcTermRecorder& rec,
+                         const spice::Solution& op) const override;
     /// Transient: the dominant pole becomes a first-order ODE on the
     /// internal node, integrated with backward Euler.
     void stamp_tran(spice::RealStamper& s, const spice::Solution& x,
                     const spice::TranContext& ctx) const override;
 
     [[nodiscard]] const BehaviouralOtaSpec& spec() const { return spec_; }
+    /// \throws ypm::InvalidInputError on a non-finite gain_db, or a rout or
+    /// f3db that is not finite and > 0.
     void set_spec(const BehaviouralOtaSpec& spec);
 
 private:
     spice::NodeId inp_, inn_, out_;
     BehaviouralOtaSpec spec_;
-    double a0_ = 0.0; ///< linear DC gain, cached from spec
+    double a0_ = 0.0;  ///< linear DC gain, cached from spec
+    double tau_ = 0.0; ///< pole time constant 1 / (2 pi f3db), cached from spec
 };
 
 } // namespace ypm::va

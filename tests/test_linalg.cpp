@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <complex>
 
 #include "linalg/hessenberg.hpp"
@@ -283,6 +284,113 @@ TEST(HessenbergPencil, RandomPencilsMatchDenseLu) {
             EXPECT_LE(std::abs(x_b - x[probe_b]), 1e-10 * scale)
                 << "n=" << n << " omega=" << omega;
         }
+    }
+}
+
+// Regression: the small-signal pencil of one OTA testbench sample under a
+// widened process draw, as AcTermRecorder::sum_pencil builds it (node floor
+// included). Unknowns 0-9 are nodes (1 = inp, 2 = inn, 3 = out), 10-12
+// branches (10, 11 the supply and input sources, 12 the feedback inductor).
+// The 1e6 H inductor (C(12,12)) and the 1 F AC ground on inn (C(2,2)) sit
+// beside fF-pF device capacitances, which leaves M = A0^-1 C's row and
+// column norms ~17 decades apart. Unbalanced, the reduction was off by
+// ~1e-6 relative at the 10 Hz end of the 10 Hz - 10 GHz sweep (tripping
+// the sweep's 1e-6 endpoint guard); balanced, it is off by < 1e-8.
+TEST(HessenbergPencil, BalancedReductionOfOtaPencilMatchesDenseLu) {
+    using C = std::complex<double>;
+    struct Entry {
+        std::size_t row, col;
+        double k, c;
+    };
+    const Entry entries[] = {
+        {0, 0, 0.0004158547513259933, 1.454562533644122e-12},
+        {0, 3, -3.8199198379387675e-09, -7.437349634948428e-14},
+        {0, 5, -8.714272784175227e-05, -7.62494966073494e-13},
+        {0, 6, -0.00032868608800460086, -5.433205748716594e-13},
+        {0, 7, -2.2115558802222538e-08, -7.437349634948428e-14},
+        {0, 10, 1.0, 0.0},
+        {1, 1, 1e-15, 9.597135989710865e-14},
+        {1, 4, 0.0, -2.4000000000000003e-15},
+        {1, 5, 0.0, -2.4000000000000003e-15},
+        {1, 11, 1.0, 0.0},
+        {2, 2, 1e-15, 1.0000000000000655},
+        {2, 4, 0.0, -6.318090659807242e-14},
+        {2, 6, 0.0, -2.4000000000000003e-15},
+        {2, 12, -1.0, 0.0},
+        {3, 0, -5.520386051947435e-06, -7.437349634948428e-14},
+        {3, 3, 6.363377645880079e-09, 1.0107047719011927e-11},
+        {3, 5, 5.516566132109497e-06, -3.699696364951885e-15},
+        {3, 7, 5.8250659672272355e-06, -2.414336261944301e-15},
+        {3, 9, -7.384532811342085e-06, 0.0},
+        {3, 12, 1.0, 0.0},
+        {4, 1, -7.541090316058482e-05, -2.4000000000000003e-15},
+        {4, 2, -0.0002535698929466005, -6.318090659807242e-14},
+        {4, 4, 0.0004057036574123557, 1.1839090659807242e-13},
+        {4, 5, -1.3372945148690433e-07, 0.0},
+        {4, 6, -6.127236334839638e-07, 0.0},
+        {5, 0, -8.162616170964275e-05, -7.62494966073494e-13},
+        {5, 1, 7.541090316058482e-05, -2.4000000000000003e-15},
+        {5, 3, 0.0, -3.699696364951885e-15},
+        {5, 4, -9.296038949059909e-05, 0.0},
+        {5, 5, 8.175989116212967e-05, 7.949996624384459e-13},
+        {6, 0, -0.00030314996348412886, -5.433205748716594e-13},
+        {6, 2, 0.0002535698929466005, -2.4000000000000003e-15},
+        {6, 4, -0.00031274326792075664, 0.0},
+        {6, 6, 0.00030376268711861283, 5.758252712366112e-13},
+        {6, 7, 0.0, -3.699696364951885e-15},
+        {7, 0, -2.555824007927422e-05, -7.437349634948428e-14},
+        {7, 3, 0.0, -2.414336261944301e-15},
+        {7, 6, 2.5536124520472e-05, -3.699696364951885e-15},
+        {7, 7, 3.376427238436219e-05, 7.799704199190358e-13},
+        {7, 8, -4.2766150341910325e-05, -5.091608081623654e-15},
+        {7, 9, 0.0, -2.414336261944301e-15},
+        {8, 7, -3.374215682455997e-05, -5.091608081623654e-15},
+        {8, 8, 7.651025473632737e-05, 7.625304927697994e-13},
+        {8, 9, 0.0, -2.414336261944301e-15},
+        {9, 3, -2.5434568079413115e-09, 0.0},
+        {9, 7, -5.8250659672272355e-06, -2.414336261944301e-15},
+        {9, 8, 5.820114078742484e-06, -2.414336261944301e-15},
+        {9, 9, 7.387097699860684e-06, 5.794905259498273e-14},
+        {10, 0, 1.0, 0.0},
+        {11, 1, 1.0, 0.0},
+        {12, 2, -1.0, 0.0},
+        {12, 3, 1.0, 0.0},
+        {12, 12, 0.0, -1000000.0},
+    };
+    const std::size_t n = 13;
+    const std::size_t out = 3;
+    const std::size_t inp = 1;
+    MatrixD k(n);
+    MatrixD c(n);
+    for (const Entry& e : entries) {
+        k(e.row, e.col) = e.k;
+        c(e.row, e.col) = e.c;
+    }
+    std::vector<C> b(n);
+    b[11] = 1.0; // the input source's AC magnitude
+
+    const double two_pi = 2.0 * 3.14159265358979323846;
+    const double s0 = two_pi * std::sqrt(10.0 * 10e9);
+    linalg::HessenbergPencil pencil;
+    ASSERT_TRUE(pencil.reduce(k, c, s0, b, out, inp));
+    const MatrixD h = pencil.hessenberg();
+    for (std::size_t i = 2; i < n; ++i)
+        for (std::size_t j = 0; j + 1 < i; ++j)
+            EXPECT_EQ(h(i, j), 0.0) << "H(" << i << "," << j << ")";
+
+    for (double f : {10.0, 12.0, 15.0, 100.0, 1e4}) {
+        const double omega = two_pi * f;
+        MatrixC a(n);
+        for (std::size_t i = 0; i < n; ++i)
+            for (std::size_t j = 0; j < n; ++j)
+                a(i, j) = C(k(i, j), omega * c(i, j));
+        const auto ref = linalg::solve(a, b);
+        C x_out, x_in;
+        ASSERT_TRUE(pencil.solve(omega, x_out, x_in)) << "f=" << f;
+        EXPECT_LE(std::abs(x_out - ref[out]), 3e-8 * std::abs(ref[out]))
+            << "f=" << f;
+        EXPECT_LE(std::abs(x_in - ref[inp]), 3e-8 * std::abs(ref[inp]))
+            << "f=" << f;
     }
 }
 

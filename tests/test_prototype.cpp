@@ -8,10 +8,10 @@
 //
 // Two contracts. Prototype results are bit-identical to each other: chunk
 // vs scalar, warm vs cold lease, any engine thread count, MC chunk vs
-// per-sample streams. Against the run_ac oracle, circuits whose AC stamps
-// are all affine (OTA, transistor-level filter) take the Hessenberg-reduced
-// sweep and agree to the tolerances below; the behavioural filter stays on
-// the dense path and stays bit-identical.
+// per-sample streams. Against the run_ac oracle, every circuit (OTA,
+// transistor-level filter, behavioural filter) takes the Hessenberg-reduced
+// sweep and agrees to the tolerances below; only a guard fallback is
+// bit-identical to run_ac.
 
 #include <gtest/gtest.h>
 
@@ -24,9 +24,11 @@
 
 #include "circuits/filter_problem.hpp"
 #include "circuits/ota_problem.hpp"
+#include "core/flow.hpp"
 #include "core/ota_mc.hpp"
 #include "eval/engine.hpp"
 #include "moo/population_eval.hpp"
+#include "moo/wbga.hpp"
 #include "obs/metrics.hpp"
 #include "process/sampler.hpp"
 #include "spice/analysis/ac.hpp"
@@ -239,22 +241,23 @@ void expect_filter_close(const circuits::FilterPerformance& reference,
                                  actual.worst_passband_dev_db, kPassbandTolDb));
 }
 
-/// The oracle contract per filter kind: bit-identical on the behavioural
-/// (dense) path, within tolerance on the transistor (reduced) path.
-void expect_filter_matches_oracle(circuits::OtaModelKind kind,
-                                  const circuits::FilterPerformance& reference,
-                                  const circuits::FilterPerformance& actual) {
-    if (kind == circuits::OtaModelKind::behavioural)
-        expect_filter_identical(reference, actual);
-    else
-        expect_filter_close(reference, actual);
-}
-
 std::vector<double> filter_row(const circuits::FilterPerformance& perf) {
     const circuits::FilterSpecMask mask;
     if (!perf.valid || std::isnan(perf.fc)) return moo::failed_evaluation(2);
     return {std::fabs(perf.fc - mask.fc_target) / mask.fc_target,
             perf.worst_passband_dev_db};
+}
+
+/// Filter objective rows {|fc - target|/target, worst passband deviation}
+/// within the reduced-sweep contract: fc/target = 1 +- row[0], so the fc
+/// tolerance is kFreqRelTol * (1 + row[0]) on the first column.
+void expect_filter_rows_close(const std::vector<double>& reference,
+                              const std::vector<double>& actual) {
+    ASSERT_EQ(reference.size(), 2u);
+    ASSERT_EQ(actual.size(), 2u);
+    EXPECT_TRUE(near_or_both_nan(reference[0], actual[0],
+                                 kFreqRelTol * (1.0 + reference[0])));
+    EXPECT_TRUE(near_or_both_nan(reference[1], actual[1], kPassbandTolDb));
 }
 
 std::vector<circuits::FilterSizing> random_filter_sizings(std::size_t n,
@@ -377,6 +380,58 @@ TEST(AcSweep, GuardFallsBackToDense) {
     EXPECT_EQ(counter_value("spice.ac.dense_sweeps"), dense + 1);
     EXPECT_EQ(counter_value("spice.ac.reduced_sweeps"), reduced);
     expect_h_identical(h_ref, h);
+}
+
+TEST(AcSweep, FrontDesignsUnderWidenedDrawsStayReduced) {
+    // Regression for the balancing step of the reduction: the OTA
+    // testbench's 1e6 H feedback inductor and 1 F AC ground beside fF-pF
+    // device capacitances leave M = A0^-1 C badly scaled. Unbalanced, the
+    // reduction missed the endpoint guard at f_start on up to a quarter of
+    // the sweeps of the front's high-PM end (~50 dB gain) under widened
+    // process draws. Designs: both ends of small WBGA fronts, as the
+    // yield_certify benchmark workload picks them; draws: its certification
+    // pilot proposal (sigma x 2).
+    const circuits::OtaProblem problem;
+    const circuits::OtaEvaluator evaluator;
+    const process::ProcessSampler sampler(evaluator.config().card,
+                                          process::VariationSpec::c35());
+    moo::WbgaConfig ga;
+    ga.population = 24;
+    ga.generations = 8;
+    process::SampleShift widened;
+    widened.scale = 2.0;
+    const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
+    const std::uint64_t dense = counter_value("spice.ac.dense_sweeps");
+    std::size_t valid = 0;
+    for (std::uint64_t g = 0; g < 3; ++g) {
+        Rng ga_rng = Rng(2024).child(1 + g);
+        const moo::WbgaResult archive = moo::Wbga(problem, ga).run(ga_rng);
+        std::vector<std::size_t> front;
+        for (std::size_t idx : core::extract_front_indices(archive)) {
+            const auto& o = archive.archive[idx].objectives;
+            if (!moo::evaluation_failed(o) && o[1] >= 10.0 && o[0] >= 1.0)
+                front.push_back(idx);
+        }
+        ASSERT_GE(front.size(), 2u);
+        for (std::size_t idx : {front.front(), front.back()}) {
+            const auto sizing =
+                circuits::OtaSizing::from_vector(archive.archive[idx].params);
+            const auto geometries =
+                circuits::build_ota_testbench(sizing, evaluator.config())
+                    .mos_geometries();
+            Rng draw_rng = Rng(91).child(idx);
+            std::vector<process::Realization> reals;
+            for (int i = 0; i < 48; ++i)
+                reals.push_back(
+                    sampler.sample_shifted(draw_rng, geometries, widened)
+                        .realization);
+            for (const auto& perf : evaluator.measure_chunk(sizing, reals))
+                if (perf.valid) ++valid;
+        }
+    }
+    EXPECT_GE(valid, 250u);
+    EXPECT_EQ(counter_value("spice.ac.guard_fallbacks"), fallbacks);
+    EXPECT_EQ(counter_value("spice.ac.dense_sweeps"), dense);
 }
 
 TEST(CircuitPrototype, CachesStructureAndSlots) {
@@ -553,7 +608,7 @@ TEST(PrototypePool, FilterPoolKeyedByModelKind) {
     EXPECT_EQ(evaluator.prototype_pool().idle(), 2u);
 
     // Warm reuse stays bit-identical to a cold instance for both kinds, and
-    // matches a fresh build under each kind's oracle contract.
+    // matches a fresh build within the reduced-sweep tolerances.
     for (auto kind : {circuits::OtaModelKind::behavioural,
                       circuits::OtaModelKind::transistor}) {
         const auto warm = evaluator.measure_chunk(sizings, kind);
@@ -565,7 +620,7 @@ TEST(PrototypePool, FilterPoolKeyedByModelKind) {
             ASSERT_EQ(reference.valid, warm[i].valid);
             if (!reference.valid) continue;
             expect_filter_identical(cold[i], warm[i]);
-            expect_filter_matches_oracle(kind, reference, warm[i]);
+            expect_filter_close(reference, warm[i]);
         }
     }
 }
@@ -602,11 +657,12 @@ TEST(PrototypePool, LeaseCarriesNoStateBetweenCallers) {
     // a caller that bound perturbed specs or a process realisation straight
     // to a nominal caller. Each call must re-bind every slot: the nominal
     // call on the same warm lease matches a cold lease bit-for-bit, and a
-    // fresh build under the oracle contract (bit-identical for the dense
-    // behavioural filter, within tolerance on the reduced path).
+    // fresh build within the reduced-sweep tolerances.
     using circuits::OtaModelKind;
     const circuits::FilterEvaluator filter{circuits::FilterConfig{},
                                            circuits::FilterSpecMask{}};
+    const circuits::FilterEvaluator cold_filter{circuits::FilterConfig{},
+                                                circuits::FilterSpecMask{}};
     const circuits::FilterSizing fsizing;
     const auto f_nominal = rebuild_filter(fsizing, OtaModelKind::behavioural);
     ASSERT_TRUE(f_nominal.valid);
@@ -618,20 +674,25 @@ TEST(PrototypePool, LeaseCarriesNoStateBetweenCallers) {
     va::BehaviouralOtaSpec weak = filter.config().ota_spec;
     weak.gain_db -= 20.0;
     const auto perturbed = filter.measure_behavioural(fsizing, slow, weak);
-    expect_filter_identical(
+    expect_filter_close(
         rebuild_filter(fsizing, OtaModelKind::behavioural, &slow, &weak),
         perturbed);
     ASSERT_TRUE(perturbed.valid);
     EXPECT_FALSE(bits_equal(perturbed.passband_gain_db, f_nominal.passband_gain_db));
-    expect_filter_identical(f_nominal,
-                            filter.measure(fsizing, OtaModelKind::behavioural));
+    const auto b_warm = filter.measure(fsizing, OtaModelKind::behavioural);
+    expect_filter_close(f_nominal, b_warm);
+    expect_filter_identical(
+        cold_filter.measure(fsizing, OtaModelKind::behavioural), b_warm);
     EXPECT_EQ(filter.prototype_pool().created(), 1u);
 
     // The AC response on the same warm lease is the fresh run_ac transfer.
     const auto f_resp = filter.ac_response(fsizing, OtaModelKind::behavioural);
     EXPECT_EQ(f_resp.freqs, filter_freqs(filter.config()));
-    expect_h_identical(rebuild_filter_transfer(fsizing, OtaModelKind::behavioural),
-                       f_resp.h);
+    expect_h_close(rebuild_filter_transfer(fsizing, OtaModelKind::behavioural),
+                   f_resp.h);
+    expect_h_identical(
+        cold_filter.ac_response(fsizing, OtaModelKind::behavioural).h,
+        f_resp.h);
 
     // Transistor kind: a process realisation, then nominal.
     const process::ProcessSampler sampler(filter.config().ota_config.card,
@@ -640,8 +701,6 @@ TEST(PrototypePool, LeaseCarriesNoStateBetweenCallers) {
     const process::Realization real = sampler.sample(
         rng, circuits::build_filter(fsizing, filter.config(), OtaModelKind::transistor)
                  .mos_geometries());
-    const circuits::FilterEvaluator cold_filter{circuits::FilterConfig{},
-                                                circuits::FilterSpecMask{}};
     const auto t_nominal = rebuild_filter(fsizing, OtaModelKind::transistor);
     const auto varied = filter.measure_transistor(fsizing, real);
     expect_filter_close(
@@ -715,10 +774,54 @@ TEST(FilterChunk, BitIdenticalToScalarBothKinds) {
         ASSERT_EQ(chunk.size(), sizings.size());
         for (std::size_t i = 0; i < sizings.size(); ++i) {
             const auto reference = rebuild_filter(sizings[i], kind);
-            expect_filter_matches_oracle(kind, reference, chunk[i]);
+            expect_filter_close(reference, chunk[i]);
             expect_filter_identical(chunk[i], evaluator.measure(sizings[i], kind));
         }
     }
+}
+
+TEST(FilterChunk, BehaviouralFilterTakesReducedPathOverRandomSpecs) {
+    // The macromodel's AC stamp is affine, so its filters take the reduced
+    // sweep like the transistor ones: random sizings x random macromodel
+    // specs, every sweep answered without a guard fallback and within the
+    // reduced-sweep tolerances of run_ac. Specs as macromodel_spec derives
+    // them: gain 40-80 dB, rout = 1 / (2 pi f3db_char c_load) with a 10 pF
+    // load, intrinsic pole pushed to 1 GHz.
+    const circuits::FilterEvaluator evaluator{circuits::FilterConfig{},
+                                              circuits::FilterSpecMask{}};
+    const auto sizings = random_filter_sizings(12, 61);
+    Rng rng(67);
+    const auto random_spec = [&] {
+        va::BehaviouralOtaSpec spec;
+        spec.gain_db = rng.uniform(40.0, 80.0);
+        const double f3db_char = std::pow(10.0, rng.uniform(2.0, 5.0));
+        spec.rout = 1.0 / (2.0 * mathx::pi * f3db_char * 10e-12);
+        spec.f3db = 1e9;
+        return spec;
+    };
+    const std::uint64_t reduced = counter_value("spice.ac.reduced_sweeps");
+    const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
+    const std::uint64_t dense = counter_value("spice.ac.dense_sweeps");
+    std::uint64_t swept = 0;
+    std::size_t valid = 0;
+    for (const auto& sizing : sizings) {
+        for (int k = 0; k < 4; ++k) {
+            const va::BehaviouralOtaSpec ota1 = random_spec();
+            const va::BehaviouralOtaSpec ota2 = random_spec();
+            const auto perf = evaluator.measure_behavioural(sizing, ota1, ota2);
+            ++swept;
+            expect_filter_close(
+                rebuild_filter(sizing, circuits::OtaModelKind::behavioural,
+                               &ota1, &ota2),
+                perf);
+            if (perf.valid) ++valid;
+        }
+    }
+    EXPECT_GE(valid, swept / 2);
+    // The rebuild oracle runs run_ac, which the counters do not see.
+    EXPECT_EQ(counter_value("spice.ac.reduced_sweeps"), reduced + swept);
+    EXPECT_EQ(counter_value("spice.ac.guard_fallbacks"), fallbacks);
+    EXPECT_EQ(counter_value("spice.ac.dense_sweeps"), dense);
 }
 
 // --------------------------------------------------- problem batch + engine
@@ -747,8 +850,8 @@ TEST(ProblemBatch, FilterEvaluateBatchMatchesScalar) {
     for (std::size_t i = 0; i < points.size(); ++i) {
         const auto reference = filter_row(
             rebuild_filter(sizings[i], circuits::OtaModelKind::behavioural));
-        expect_rows_identical(reference, batch[i]);
-        expect_rows_identical(reference, problem.evaluate(points[i]));
+        expect_filter_rows_close(reference, batch[i]);
+        expect_rows_identical(batch[i], problem.evaluate(points[i]));
     }
 }
 

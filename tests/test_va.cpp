@@ -4,9 +4,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <complex>
+#include <cstring>
+#include <limits>
+#include <vector>
 
 #include "spice/analysis/ac.hpp"
 #include "spice/analysis/dc.hpp"
+#include "spice/ac_terms.hpp"
 #include "spice/circuit.hpp"
 #include "spice/devices/resistor.hpp"
 #include "spice/devices/sources.hpp"
@@ -33,6 +38,96 @@ TEST(BehaviouralOta, ValidatesSpec) {
     EXPECT_THROW(c.add<va::BehaviouralOta>("o2", c.node("a"), c.node("b"),
                                            c.node("o"), bad),
                  InvalidInputError);
+}
+
+TEST(BehaviouralOta, RejectsNonFiniteSpecs) {
+    // Specs come from loaded tables; a NaN gain would reach every stamp
+    // through undb20, rout = inf would leave the output floating, and
+    // f3db = inf would make the transient step w_p * dt infinite.
+    Circuit c;
+    va::BehaviouralOta& ota = c.add<va::BehaviouralOta>(
+        "o", c.node("a"), c.node("b"), c.node("o"), va::BehaviouralOtaSpec{});
+    const double inf = std::numeric_limits<double>::infinity();
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (double gain_db : {nan, inf, -inf}) {
+        va::BehaviouralOtaSpec bad;
+        bad.gain_db = gain_db;
+        EXPECT_THROW(ota.set_spec(bad), InvalidInputError) << gain_db;
+    }
+    for (double rout : {nan, inf}) {
+        va::BehaviouralOtaSpec bad;
+        bad.rout = rout;
+        EXPECT_THROW(ota.set_spec(bad), InvalidInputError) << rout;
+    }
+    for (double f3db : {nan, inf}) {
+        va::BehaviouralOtaSpec bad;
+        bad.f3db = f3db;
+        EXPECT_THROW(ota.set_spec(bad), InvalidInputError) << f3db;
+    }
+    // A rejected spec leaves the device's previous spec in place.
+    EXPECT_EQ(ota.spec().gain_db, va::BehaviouralOtaSpec{}.gain_db);
+    EXPECT_EQ(ota.spec().rout, va::BehaviouralOtaSpec{}.rout);
+}
+
+TEST(BehaviouralOta, RecordedAcTermsReplayStampAcBitForBit) {
+    // The macromodel's AC row (1 + j w tau) V(u) - A0 vd = 0 is affine in
+    // w: replaying its recorded terms must reproduce stamp_ac's additions
+    // value for value, at any w.
+    Circuit c;
+    const NodeId inp = c.node("inp");
+    const NodeId inn = c.node("inn");
+    const NodeId out = c.node("out");
+    const va::BehaviouralOtaSpec spec{57.3, 3.7e3, 4.1e5};
+    c.add<va::BehaviouralOta>("ota", inp, inn, out, spec);
+    c.finalize();
+    const std::size_t n = c.unknowns();
+    const Solution op(c.node_count(), n - c.node_count());
+    AcTermRecorder rec(c.node_count(), n);
+    for (const auto& dev : c.devices()) dev->stamp_ac_affine(rec, op);
+    EXPECT_TRUE(rec.rhs_terms().empty());
+    for (double omega : {0.0, 1.0, 2.0 * mathx::pi * 3.7e3, 6.1e5, 2.3e10}) {
+        linalg::MatrixC a(n);
+        std::vector<std::complex<double>> rhs(n);
+        ComplexStamper stamper(a, rhs, c.node_count());
+        for (const auto& dev : c.devices()) dev->stamp_ac(stamper, omega, op);
+        std::vector<std::complex<double>> replayed(n * n);
+        rec.replay_matrix(omega, replayed.data());
+        for (std::size_t i = 0; i < n * n; ++i) {
+            const std::complex<double> v = a.data()[i];
+            EXPECT_EQ(std::memcmp(&v, &replayed[i], sizeof v), 0)
+                << "omega " << omega << " entry " << i << ": " << v << " vs "
+                << replayed[i];
+        }
+    }
+}
+
+TEST(BehaviouralOta, OpenLoopAcMatchesSinglePoleThroughRoutDivider) {
+    // h = A0 / (1 + j f/f3db) * go / (go + gl) for an open-loop OTA into a
+    // resistive load, go = 1/rout, gl = 1/rl plus the AC solve's 1e-15
+    // node floor, across poles from audio to far out of band.
+    for (double f3db : {1e2, 1e4, 1e9}) {
+        Circuit c;
+        const NodeId inp = c.node("inp");
+        const NodeId out = c.node("out");
+        c.add<VoltageSource>("vin", inp, ground, 0.0, 1.0);
+        const va::BehaviouralOtaSpec spec{63.0, f3db, 2.2e5};
+        c.add<va::BehaviouralOta>("ota", inp, ground, out, spec);
+        const double rl = 1e6;
+        c.add<Resistor>("rl", out, ground, rl);
+        const Solution op = solve_op(c);
+        const auto freqs = log_sweep(1.0, 1e11, 7);
+        const auto h = run_ac(c, op, freqs).transfer(out, inp);
+        const double a0 = mathx::undb20(spec.gain_db);
+        const double go = 1.0 / spec.rout;
+        const double gl = 1.0 / rl + 1e-15;
+        for (std::size_t i = 0; i < freqs.size(); ++i) {
+            const std::complex<double> expected =
+                a0 / std::complex<double>(1.0, freqs[i] / f3db) * go /
+                (go + gl);
+            EXPECT_LE(std::abs(h[i] - expected), 1e-12 * std::abs(expected))
+                << "f3db " << f3db << " f " << freqs[i];
+        }
+    }
 }
 
 TEST(BehaviouralOta, OpenLoopDcGain) {
