@@ -17,22 +17,14 @@
 //   optimiser_evaluations,engine_evaluations,front_points,certified_points,
 //   min_yield,mean_yield,min_ci_low,wall_ms
 //
-// scripts/check_closure.py gates this artifact in the bench-smoke CI job:
-// equal optimiser budgets across the arms, and the yield-aware arm's
-// certified minimum yield beating the nominal arm's by the calibrated
-// ratio floor.
-//
-// Environment knobs (on top of bench_common.hpp's):
-//   YPM_BENCH_CLOSURE_POP     population              (default 24)
-//   YPM_BENCH_CLOSURE_GENS    yield-aware generations (default 12)
-//   YPM_BENCH_CLOSURE_BUDGET  probe samples per point (default 32)
-//   YPM_BENCH_CLOSURE_GAIN    gain spec floor in dB   (default 50)
-//   YPM_BENCH_CLOSURE_PM      pm spec floor in deg    (default 70)
+// scripts/check_closure.py gates this artifact in the yield_closure_gate
+// ctest: equal optimiser budgets across the arms, and the yield-aware arm's
+// certified minimum yield beating the nominal arm's by the ratio floor
+// calibrated at the ClosureScale constants below.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -46,14 +38,6 @@
 using namespace ypm;
 
 namespace {
-
-double env_double(const char* name, double fallback) {
-    // Read before any bench thread starts; nothing calls setenv, so the
-    // getenv race clang-tidy guards against cannot occur.
-    const char* v = std::getenv(name); // NOLINT(concurrency-mt-unsafe)
-    if (v == nullptr || *v == '\0') return fallback;
-    return std::strtod(v, nullptr);
-}
 
 struct ClosureScale {
     std::size_t population = 24;
@@ -76,16 +60,6 @@ struct ClosureScale {
         return generations + (probe_samples() + population - 1) / population;
     }
 };
-
-ClosureScale closure_scale() {
-    ClosureScale s;
-    s.population = benchx::env_size("YPM_BENCH_CLOSURE_POP", 24);
-    s.generations = benchx::env_size("YPM_BENCH_CLOSURE_GENS", 12);
-    s.probe_budget = benchx::env_size("YPM_BENCH_CLOSURE_BUDGET", 32);
-    s.spec_gain_db = env_double("YPM_BENCH_CLOSURE_GAIN", 50.0);
-    s.spec_pm_deg = env_double("YPM_BENCH_CLOSURE_PM", 70.0);
-    return s;
-}
 
 core::FlowConfig closure_config(const ClosureScale& s, bool yield_aware) {
     core::FlowConfig cfg;
@@ -163,7 +137,7 @@ void dump_arm(const std::string& arm, const ClosureScale& s,
 }
 
 void run_arm(benchmark::State& state, bool yield_aware) {
-    const ClosureScale s = closure_scale();
+    const ClosureScale s{};
     const core::FlowConfig cfg = closure_config(s, yield_aware);
     core::FlowResult result;
     double wall_ms = 0.0;

@@ -5,24 +5,21 @@
 //
 //   estimator,scenario,samples,pilot_samples,total_samples,reached_target,
 //   yield,ci_low,ci_high,ci_half_width,ess,ess_per_sample,max_weight_share,
-//   refits,components,wall_ms
+//   refits,components,wall_ms,reference_yield
 //
-// scripts/check_matrix.py gates the per-column floors on this artifact in
-// the bench-matrix CI job (IS family vs plain MC on rare_ota, mixture
-// family vs single shift on bimodal_ota, scale-adapted CE vs mean-only CE,
-// fail-side ESS floors on each estimator's home scenario).
+// reference_yield is the scenario's pinned brute-force yield (empty where
+// none is pinned). scripts/check_matrix.py gates the per-column floors on
+// this artifact in the yield_matrix_gate ctest (IS family vs plain MC on
+// rare_ota, mixture family vs single shift on bimodal_ota, scale-adapted
+// CE vs mean-only CE, fail-side ESS floors, every OTA interval containing
+// its reference).
 //
 // Cells are registered dynamically (custom main below): the matrix shape
 // follows kEstimators and the scenario registry, so adding an estimator or
 // a scenario grows the matrix without touching this file.
-//
-// Environment knobs (on top of bench_common.hpp's):
-//   YPM_BENCH_YIELD_TARGET  OTA-scenario CI half-width target (default 0.0035)
-//   YPM_BENCH_YIELD_SIGMA   OTA spec depth in sigmas          (default 2.4)
 
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -40,25 +37,13 @@ using namespace ypm;
 
 namespace {
 
-double env_double(const char* name, double fallback) {
-    // Read before any bench thread starts; nothing calls setenv, so the
-    // getenv race clang-tidy guards against cannot occur.
-    const char* v = std::getenv(name); // NOLINT(concurrency-mt-unsafe)
-    if (v == nullptr || *v == '\0') return fallback;
-    return std::strtod(v, nullptr);
-}
-
 /// Scenarios are calibrated once (the OTA ones run a 512-sample MC
 /// population at construction) and shared across their column's cells.
 const yield::Scenario& get_scenario(const std::string& name) {
     static std::map<std::string, yield::Scenario> cache = [] {
-        yield::ScenarioOptions options;
-        options.target_half_width =
-            env_double("YPM_BENCH_YIELD_TARGET", 0.0035);
-        options.spec_depth = env_double("YPM_BENCH_YIELD_SIGMA", 2.4);
         std::map<std::string, yield::Scenario> scenarios;
         for (const std::string& n : yield::scenario_names())
-            scenarios.emplace(n, yield::make_scenario(n, options));
+            scenarios.emplace(n, yield::make_scenario(n));
         return scenarios;
     }();
     return cache.at(name);
@@ -67,7 +52,7 @@ const yield::Scenario& get_scenario(const std::string& name) {
 /// Append one cell row to the matrix CSV. First write of the process
 /// truncates, so a rerun replaces the artifact instead of interleaving
 /// stale rows into it.
-void dump_cell(std::string_view estimator, const std::string& scenario,
+void dump_cell(std::string_view estimator, const yield::Scenario& scenario,
                const yield::SequentialYieldResult& result, double wall_ms) {
     namespace fs = std::filesystem;
     const fs::path dir = benchx::artifact_dir();
@@ -80,21 +65,24 @@ void dump_cell(std::string_view estimator, const std::string& scenario,
     if (!appending)
         out << "estimator,scenario,samples,pilot_samples,total_samples,"
                "reached_target,yield,ci_low,ci_high,ci_half_width,ess,"
-               "ess_per_sample,max_weight_share,refits,components,wall_ms\n";
+               "ess_per_sample,max_weight_share,refits,components,wall_ms,"
+               "reference_yield\n";
     appending = true;
     const std::size_t total = result.samples_used + result.pilot_samples;
     const double ess_per_sample =
         result.samples_used > 0
             ? result.estimate.ess / static_cast<double>(result.samples_used)
             : 0.0;
-    out << estimator << ',' << scenario << ',' << result.samples_used << ','
-        << result.pilot_samples << ',' << total << ','
+    out << estimator << ',' << scenario.name << ',' << result.samples_used
+        << ',' << result.pilot_samples << ',' << total << ','
         << (result.reached_target ? 1 : 0) << ',' << result.estimate.yield
         << ',' << result.estimate.ci_low << ',' << result.estimate.ci_high
         << ',' << result.estimate.half_width() << ',' << result.estimate.ess
         << ',' << ess_per_sample << ',' << result.estimate.max_weight_share
         << ',' << result.refinements << ','
-        << result.proposal.components.size() << ',' << wall_ms << '\n';
+        << result.proposal.components.size() << ',' << wall_ms << ',';
+    if (scenario.reference_yield) out << *scenario.reference_yield;
+    out << '\n';
 }
 
 void run_cell(benchmark::State& state, yield::Estimator estimator,
@@ -114,8 +102,7 @@ void run_cell(benchmark::State& state, yield::Estimator estimator,
         result = runner.run();
         wall_ms = util::seconds_since(t0) * 1e3;
     }
-    dump_cell(yield::estimator_name(estimator), scenario_name, result,
-              wall_ms);
+    dump_cell(yield::estimator_name(estimator), sc, result, wall_ms);
     state.counters["samples"] =
         static_cast<double>(result.samples_used + result.pilot_samples);
     state.counters["yield"] = result.estimate.yield;

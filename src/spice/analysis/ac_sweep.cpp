@@ -15,13 +15,11 @@ namespace {
 /// bump per sweep).
 struct AcSweepMetrics {
     obs::Counter& reduced;
-    obs::Counter& dense;
     obs::Counter& fallbacks;
 
     static AcSweepMetrics& get() {
         auto& registry = obs::MetricsRegistry::global();
         static AcSweepMetrics metrics{registry.counter("spice.ac.reduced_sweeps"),
-                                      registry.counter("spice.ac.dense_sweeps"),
                                       registry.counter("spice.ac.guard_fallbacks")};
         return metrics;
     }
@@ -133,7 +131,6 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
         return h;
     }
     metrics.fallbacks.add();
-    metrics.dense.add();
     h.clear();
     for (double f : freqs) h.push_back(dense_point(omega_of(f)));
     return h;

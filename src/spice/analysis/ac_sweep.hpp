@@ -29,9 +29,9 @@
 /// InplaceLu matches Lu's pivoting and elimination arithmetic (see the class
 /// notes for the one sub-ulp caveat on complex pivot ties).
 ///
-/// The registry counters spice.ac.reduced_sweeps and spice.ac.dense_sweeps
-/// count sweeps by the path that answered them; spice.ac.guard_fallbacks
-/// counts the dense sweeps a guard forced, which is every dense sweep.
+/// The registry counter spice.ac.reduced_sweeps counts the sweeps the
+/// reduced path answered and spice.ac.guard_fallbacks the sweeps a guard
+/// handed to the dense path; their sum is every sweep.
 
 #include <complex>
 #include <vector>

@@ -1,11 +1,11 @@
 #pragma once
 /// \file scenarios.hpp
 /// \brief Shared scenario registry for the yield estimator zoo: the named
-///        benchmark/test problems that bench_yield_is, bench_yield_matrix
-///        and the unit/conformance suites all build from one definition -
-///        the spec thresholds, calibration seeds and kernel constants live
-///        here exactly once, so a CI gate and a unit test can never drift
-///        apart on "the bimodal scenario".
+///        benchmark/test problems that bench_yield_matrix and the
+///        unit/conformance suites all build from one definition - the spec
+///        thresholds, calibration seeds, kernel constants and pinned
+///        brute-force references live here exactly once, so a gate and a
+///        unit test can never drift apart on "the bimodal scenario".
 ///
 /// Scenarios come in two families:
 ///  - OTA scenarios (rare_ota, bimodal_ota): the paper's OTA testbench
@@ -24,16 +24,15 @@
 
 #include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
 
-#include "eval/engine.hpp"
 #include "mc/yield.hpp"
 #include "process/sampler.hpp"
 #include "util/rng.hpp"
 #include "yield/sequential.hpp"
-#include "yield/weighted.hpp"
 
 namespace ypm::yield {
 
@@ -43,32 +42,20 @@ namespace ypm::yield {
 /// (see yield/estimator.hpp).
 struct Scenario {
     std::string name;
-    std::string description; ///< one line for the matrix CSV / logs
     std::vector<mc::Spec> specs;
     KernelFactory factory;
     std::size_t dimension = 0; ///< standardized process-space dimension
     /// Scenario-level base configuration (problem knobs populated; method
     /// knobs at their defaults for estimators to overwrite).
     SequentialConfig config;
-    /// Default brute-force reference population for scenario_reference().
-    std::size_t reference_samples = 0;
+    /// Pinned brute-force yield (OTA scenarios only): 200k plain-MC draws of
+    /// the scenario kernel at the nominal proposal from Rng(72). Every
+    /// estimator's interval on the scenario must contain it
+    /// (scripts/check_matrix.py).
+    std::optional<double> reference_yield;
     /// Keeps alive whatever the factory captures by reference (the OTA
     /// evaluator/sampler); empty for self-contained synthetic kernels.
     std::shared_ptr<const void> backing;
-};
-
-/// Construction-time overrides. Defaults reproduce the historical bench
-/// constants; the benches map their env knobs (YPM_BENCH_YIELD_TARGET,
-/// YPM_BENCH_YIELD_SIGMA, ...) onto these fields.
-struct ScenarioOptions {
-    /// CI half-width target for the OTA scenarios (synthetic scenarios own
-    /// tighter targets; see scenarios.cpp). <= 0 keeps the default 0.0035.
-    double target_half_width = 0.0;
-    /// OTA spec depth in calibrated sigmas. <= 0 keeps the default 2.4.
-    double spec_depth = 0.0;
-    /// Override the default brute-force reference population; 0 keeps the
-    /// scenario default.
-    std::size_t reference_samples = 0;
 };
 
 /// All registered scenario names, in registry order:
@@ -81,17 +68,7 @@ struct ScenarioOptions {
 /// construction is not free - build once and reuse. \throws
 /// ypm::InvalidInputError on an unknown name (the message lists the
 /// registry).
-[[nodiscard]] Scenario make_scenario(std::string_view name,
-                                     const ScenarioOptions& options = {});
-
-/// Brute-force plain-MC reference estimate for a scenario: `samples` draws
-/// of the scenario kernel at the nominal proposal (log weights exactly 0,
-/// so the estimate reduces to the unweighted Wilson numbers) on the given
-/// engine. Pass Rng(72) and the scenario's reference_samples to reproduce
-/// the historical bench references.
-[[nodiscard]] WeightedYieldEstimate
-scenario_reference(eval::Engine& engine, const Scenario& scenario,
-                   std::size_t samples, Rng rng);
+[[nodiscard]] Scenario make_scenario(std::string_view name);
 
 /// Draw one standardized coordinate vector from a mixture proposal the way
 /// the synthetic scenario kernels do - the reference implementation the

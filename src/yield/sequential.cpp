@@ -199,7 +199,6 @@ void SequentialYieldRunner::fold_rows(const mc::McResult& result) {
     retired_samples_ += result.rows.size();
     ++stage_chunks_;
     update_estimate();
-    trajectory_.emplace_back(retired_samples_, estimate_.half_width());
 
     // Observational only: the ISLE-style per-chunk diagnostic stream -
     // sample count, fail-side ESS, weight concentration, CI half-width -
@@ -304,7 +303,6 @@ SequentialYieldResult SequentialYieldRunner::finish() {
     result.discarded_samples = discarded_samples_;
     result.reached_target = target_met();
     result.pilot_skipped = pilot_skipped_;
-    result.trajectory = std::move(trajectory_);
     return result;
 }
 

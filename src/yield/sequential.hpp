@@ -147,9 +147,6 @@ struct SequentialYieldResult {
     /// plain MC with no failure-directed proposal. Size the budget above
     /// points * (pilot + min_samples) to avoid it.
     bool pilot_skipped = false;
-    /// (cumulative samples, CI half-width) after each retired chunk - the
-    /// convergence trajectory the bench artifact plots.
-    std::vector<std::pair<std::size_t, double>> trajectory;
 };
 
 /// Streams one design point's yield estimation through a shared engine.
@@ -273,7 +270,6 @@ private:
     std::vector<std::vector<double>> fail_rows_; ///< failing u records (CE)
     std::size_t refits_done_ = 0;
     WeightedYieldEstimate estimate_;
-    std::vector<std::pair<std::size_t, double>> trajectory_;
 };
 
 /// One design point of a multi-point yield campaign.

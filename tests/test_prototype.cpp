@@ -372,12 +372,10 @@ TEST(AcSweep, GuardFallsBackToDense) {
     const auto h_ref = spice::run_ac(ckt, op.solution, freqs).transfer(x, in);
 
     const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
-    const std::uint64_t dense = counter_value("spice.ac.dense_sweeps");
     const std::uint64_t reduced = counter_value("spice.ac.reduced_sweeps");
     spice::AcSweepWorkspace ws;
     const auto h = spice::ac_sweep_transfer(ckt, op.solution, freqs, x, in, ws);
     EXPECT_EQ(counter_value("spice.ac.guard_fallbacks"), fallbacks + 1);
-    EXPECT_EQ(counter_value("spice.ac.dense_sweeps"), dense + 1);
     EXPECT_EQ(counter_value("spice.ac.reduced_sweeps"), reduced);
     expect_h_identical(h_ref, h);
 }
@@ -401,7 +399,6 @@ TEST(AcSweep, FrontDesignsUnderWidenedDrawsStayReduced) {
     process::SampleShift widened;
     widened.scale = 2.0;
     const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
-    const std::uint64_t dense = counter_value("spice.ac.dense_sweeps");
     std::size_t valid = 0;
     for (std::uint64_t g = 0; g < 3; ++g) {
         Rng ga_rng = Rng(2024).child(1 + g);
@@ -431,7 +428,6 @@ TEST(AcSweep, FrontDesignsUnderWidenedDrawsStayReduced) {
     }
     EXPECT_GE(valid, 250u);
     EXPECT_EQ(counter_value("spice.ac.guard_fallbacks"), fallbacks);
-    EXPECT_EQ(counter_value("spice.ac.dense_sweeps"), dense);
 }
 
 TEST(CircuitPrototype, CachesStructureAndSlots) {
@@ -801,7 +797,6 @@ TEST(FilterChunk, BehaviouralFilterTakesReducedPathOverRandomSpecs) {
     };
     const std::uint64_t reduced = counter_value("spice.ac.reduced_sweeps");
     const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
-    const std::uint64_t dense = counter_value("spice.ac.dense_sweeps");
     std::uint64_t swept = 0;
     std::size_t valid = 0;
     for (const auto& sizing : sizings) {
@@ -821,7 +816,6 @@ TEST(FilterChunk, BehaviouralFilterTakesReducedPathOverRandomSpecs) {
     // The rebuild oracle runs run_ac, which the counters do not see.
     EXPECT_EQ(counter_value("spice.ac.reduced_sweeps"), reduced + swept);
     EXPECT_EQ(counter_value("spice.ac.guard_fallbacks"), fallbacks);
-    EXPECT_EQ(counter_value("spice.ac.dense_sweeps"), dense);
 }
 
 // --------------------------------------------------- problem batch + engine

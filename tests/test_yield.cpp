@@ -646,7 +646,6 @@ TEST(SequentialYield, EarlyStopDeterministicAcrossInflightWindows) {
     EXPECT_EQ(a.estimate.yield, b.estimate.yield);
     EXPECT_EQ(a.estimate.ci_low, b.estimate.ci_low);
     EXPECT_EQ(a.estimate.ci_high, b.estimate.ci_high);
-    EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
     // The wider window may have drained overshoot, never folded it.
     EXPECT_EQ(a.discarded_samples, 0u);
 }
@@ -843,7 +842,6 @@ TEST(SequentialYield, CeRefinementDeterministicAcrossInflightWindows) {
         EXPECT_EQ(a.stage_estimates[s].samples, b.stage_estimates[s].samples);
         EXPECT_EQ(a.stage_estimates[s].yield, b.stage_estimates[s].yield);
     }
-    EXPECT_EQ(a.trajectory.size(), b.trajectory.size());
     // The blocking window drains nothing at a refit; wider windows may.
     EXPECT_EQ(a.discarded_samples, 0u);
     // And the refined estimate is still correct.
