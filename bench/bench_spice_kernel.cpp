@@ -82,11 +82,14 @@ std::vector<std::complex<double>> rebuild_transfer(spice::Circuit& ckt,
 }
 
 /// The rebuild arm: one OTA point with no prototype - build the testbench,
-/// solve it, extract the Bode metrics.
+/// bind the process (nullptr = nominal), solve it cold, extract the Bode
+/// metrics.
 circuits::OtaPerformance rebuild_ota(const circuits::OtaConfig& cfg,
-                                     const circuits::OtaSizing& sizing) {
+                                     const circuits::OtaSizing& sizing,
+                                     const process::Realization* real = nullptr) {
     circuits::OtaPerformance perf;
     spice::Circuit ckt = circuits::build_ota_testbench(sizing, cfg);
+    if (real != nullptr) ckt.apply_process(*real);
     const auto freqs =
         spice::log_sweep(cfg.f_start, cfg.f_stop, cfg.points_per_decade);
     const auto h = rebuild_transfer(ckt, freqs, "out", "inp");
@@ -105,6 +108,24 @@ bool chunk_matches_scalar(const circuits::OtaEvaluator& evaluator,
     const auto chunk = evaluator.measure_chunk(sizings);
     for (std::size_t i = 0; i < sizings.size(); ++i) {
         const auto rebuilt = rebuild_ota(evaluator.config(), sizings[i]);
+        if (rebuilt.valid != chunk[i].valid) return false;
+        if (!rebuilt.valid) continue;
+        if (!near(rebuilt.gain_db, chunk[i].gain_db, kGainTolDb) ||
+            !near(rebuilt.pm_deg, chunk[i].pm_deg, kPmTolDeg))
+            return false;
+    }
+    return true;
+}
+
+/// The Monte Carlo arm against per-sample cold rebuilds: the prototype
+/// starts each sample's DC from the nominal OP, so the two agree within the
+/// reduced-sweep tolerances, not bit for bit.
+bool process_chunk_matches_rebuild(const circuits::OtaEvaluator& evaluator,
+                                   const circuits::OtaSizing& sizing,
+                                   const std::vector<process::Realization>& reals) {
+    const auto chunk = evaluator.measure_chunk(sizing, reals);
+    for (std::size_t i = 0; i < reals.size(); ++i) {
+        const auto rebuilt = rebuild_ota(evaluator.config(), sizing, &reals[i]);
         if (rebuilt.valid != chunk[i].valid) return false;
         if (!rebuilt.valid) continue;
         if (!near(rebuilt.gain_db, chunk[i].gain_db, kGainTolDb) ||
@@ -315,6 +336,39 @@ BENCHMARK(BM_OtaChunkPrototypeReuse)
     ->Arg(100)
     ->Unit(benchmark::kMillisecond);
 
+// The Monte Carlo point: one sizing under a chunk of c35 process draws
+// through one leased prototype, as every MC, corner and certification
+// chunk runs it. Unlike BM_OtaChunkPrototypeReuse (nominal sizings only),
+// each sample here starts its DC Newton from the sizing's cached nominal
+// operating point.
+void BM_OtaChunkUnderProcess(benchmark::State& state) {
+    const circuits::OtaEvaluator evaluator;
+    const circuits::OtaSizing sizing;
+    const process::ProcessSampler sampler(evaluator.config().card,
+                                          process::VariationSpec::c35());
+    const auto geometries =
+        circuits::build_ota_testbench(sizing, evaluator.config()).mos_geometries();
+    Rng rng(2008);
+    std::vector<process::Realization> reals;
+    for (std::int64_t i = 0; i < state.range(0); ++i)
+        reals.push_back(sampler.sample(rng, geometries));
+    if (!process_chunk_matches_rebuild(evaluator, sizing, reals)) {
+        state.SkipWithError("process chunk diverges from the rebuild path");
+        return;
+    }
+    for (auto _ : state) {
+        auto perfs = evaluator.measure_chunk(sizing, reals);
+        benchmark::DoNotOptimize(perfs);
+    }
+    state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                            state.range(0));
+    state.counters["points_per_second"] = benchmark::Counter(
+        static_cast<double>(state.iterations()) *
+            static_cast<double>(state.range(0)),
+        benchmark::Counter::kIsRate);
+}
+BENCHMARK(BM_OtaChunkUnderProcess)->Arg(100)->Unit(benchmark::kMillisecond);
+
 // Gate: disabled-mode observability is a no-op. The same chunk work as
 // BM_OtaChunkPrototypeReuse plus exactly the instrumentation pattern the
 // engine dispatch path runs per chunk - a disarmed obs::Span (one relaxed
@@ -401,6 +455,16 @@ BENCHMARK(BM_FilterChunkPrototypeReuse)->Arg(30)->Unit(benchmark::kMillisecond);
 
 constexpr std::size_t kMcParetoPoints = 6;
 constexpr std::uint64_t kBodeBenchTag = 0x626f6465; // flow's nominal tag
+
+/// The engine of one pass (each timed pass builds its own): a private pool
+/// of 4 workers in both arms, so the overlap ratio does not move with the
+/// host's core count (the shared global pool sizes itself to it).
+eval::EngineConfig mc_engine_config() {
+    eval::EngineConfig cfg;
+    cfg.cache_capacity = 0;
+    cfg.threads = 4;
+    return cfg;
+}
 
 double consume_variation(const mc::McResult& result) {
     const auto gain_var = result.column_variation(0);
@@ -504,9 +568,7 @@ bool async_mc_matches_blocking_once(std::size_t samples) {
         const process::ProcessSampler sampler(evaluator.config().card,
                                               process::VariationSpec::c35());
         const auto sizings = sizing_chunk(kMcParetoPoints);
-        eval::EngineConfig cfg;
-        cfg.cache_capacity = 0;
-        eval::Engine blocking(cfg), async(cfg);
+        eval::Engine blocking(mc_engine_config()), async(mc_engine_config());
         Rng rb(2008), ra(2008);
         double sink_b = 0.0, sink_a = 0.0;
         const auto b = run_points_blocking(blocking, evaluator, sampler, sizings,
@@ -531,10 +593,8 @@ void BM_OtaMcParetoPointsBlocking(benchmark::State& state) {
                                           process::VariationSpec::c35());
     const auto sizings = sizing_chunk(kMcParetoPoints);
     const auto samples = static_cast<std::size_t>(state.range(0));
-    eval::EngineConfig cfg;
-    cfg.cache_capacity = 0;
     for (auto _ : state) {
-        eval::Engine engine(cfg);
+        eval::Engine engine(mc_engine_config());
         Rng rng(2008);
         double sink = 0.0;
         auto outcomes = run_points_blocking(engine, evaluator, sampler, sizings,
@@ -567,10 +627,8 @@ void BM_OtaMcParetoPointsAsync(benchmark::State& state) {
         state.SkipWithError("overlapped MC results diverge from blocking engine");
         return;
     }
-    eval::EngineConfig cfg;
-    cfg.cache_capacity = 0;
     for (auto _ : state) {
-        eval::Engine engine(cfg);
+        eval::Engine engine(mc_engine_config());
         Rng rng(2008);
         double sink = 0.0;
         auto outcomes = run_points_async(engine, evaluator, sampler, sizings,

@@ -21,7 +21,12 @@ Checks, in order:
     ledger arguments (requests / evaluations / cache_hits - same run, same
     process, so the process-wide counters must match the ledger exactly);
  7. AC sweeps take the Hessenberg-reduced path: guard fallbacks are at most
-    1 % of all sweeps (spice.ac.reduced_sweeps + spice.ac.guard_fallbacks).
+    1 % of all sweeps (spice.ac.reduced_sweeps + spice.ac.guard_fallbacks);
+ 8. process samples start DC Newton from their sizing's nominal operating
+    point: spice.dc.warm_starts > 0, and spice.dc.warm_fallbacks (warm
+    Newton failed, gmin or source stepping answered) is at most 1 % of them.
+    The OK line also reports ota.nominal_op_misses (cold nominal solves the
+    warm starts paid for), ungated.
 
 Exit status 0 when every check passes; 1 with a message otherwise.
 """
@@ -43,7 +48,7 @@ REQUIRED_SPANS = [
 CHUNK_ARGS = ["samples", "ess", "max_weight_share", "half_width"]
 
 # Largest share of AC sweeps the reduced path may hand to the dense guard
-# fallback.
+# fallback, and of warm DC starts that may fall back to the homotopies.
 MAX_FALLBACK_SHARE = 0.01
 
 # Export rounds timestamps to 1/1000 us; containment comparisons allow one
@@ -165,6 +170,23 @@ def main():
             f"(limit {MAX_FALLBACK_SHARE:.0%})"
         )
 
+    # --- process samples start DC from the nominal operating point.
+    dc = {}
+    for name in ("warm_starts", "warm_fallbacks"):
+        key = f"spice.dc.{name}"
+        if key not in counters:
+            fail(f"metrics snapshot lacks the counter {key}")
+        dc[name] = counters[key]
+    if dc["warm_starts"] == 0:
+        fail("no warm DC start recorded (spice.dc.warm_starts is zero)")
+    warm_fallback_share = dc["warm_fallbacks"] / dc["warm_starts"]
+    if warm_fallback_share > MAX_FALLBACK_SHARE:
+        fail(
+            f"spice.dc.warm_fallbacks={dc['warm_fallbacks']} is "
+            f"{warm_fallback_share:.1%} of {dc['warm_starts']} warm DC starts "
+            f"(limit {MAX_FALLBACK_SHARE:.0%})"
+        )
+
     kernels = len(by_name["engine.kernel"])
     batches = len(by_name["engine.batch"])
     chunks = len(by_name["yield.chunk"])
@@ -172,6 +194,8 @@ def main():
         f"check_trace: OK: {len(events)} events, {batches} engine batches, "
         f"{kernels} kernel spans, {chunks} yield chunks, "
         f"{sweeps} AC sweeps ({ac['guard_fallbacks']} fallbacks), "
+        f"{dc['warm_starts']} warm DC starts ({dc['warm_fallbacks']} fallbacks, "
+        f"{counters.get('ota.nominal_op_misses', 0)} nominal-OP misses), "
         f"flow.run {run['dur'] / 1e3:.1f} ms"
     )
 

@@ -1,8 +1,10 @@
 #include "circuits/ota.hpp"
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "obs/metrics.hpp"
 #include "spice/analysis/ac.hpp"
 #include "spice/devices/capacitor.hpp"
 #include "spice/devices/inductor.hpp"
@@ -16,6 +18,21 @@ using spice::Mosfet;
 using spice::NodeId;
 
 namespace {
+
+/// Nominal-OP cache misses under a process realisation: each one adds a
+/// cold nominal solve in front of the sample's warm Newton.
+obs::Counter& nominal_op_misses() {
+    static obs::Counter& counter =
+        obs::MetricsRegistry::global().counter("ota.nominal_op_misses");
+    return counter;
+}
+
+/// Exact-bits sizing equality (the nominal-OP cache key).
+bool same_sizing(const OtaSizing& a, const OtaSizing& b) {
+    static_assert(sizeof(OtaSizing) ==
+                  OtaSizing::parameter_count * sizeof(double));
+    return std::memcmp(&a, &b, sizeof(OtaSizing)) == 0;
+}
 
 OtaPerformance perf_from_transfer(const std::vector<double>& freqs,
                                   const std::vector<std::complex<double>>& h) {
@@ -154,8 +171,31 @@ spice::DcResult OtaPrototype::solve(const OtaSizing& s,
     m7_->set_geometry(s.w2, s.l2);
     m10_->set_geometry(s.w3, s.l3);
     m8_->set_geometry(s.w3, s.l3);
+    if (real == nullptr) {
+        inst_.bind_process(nullptr);
+        spice::DcResult op = inst_.solve_op();
+        remember_nominal(s, op);
+        return op;
+    }
+    const spice::Solution* start = nominal_op(s);
     inst_.bind_process(real);
-    return inst_.solve_op();
+    return start != nullptr ? inst_.solve_op(*start) : inst_.solve_op();
+}
+
+const spice::Solution* OtaPrototype::nominal_op(const OtaSizing& s) {
+    if (!nominal_.cached || !same_sizing(nominal_.sizing, s)) {
+        nominal_op_misses().add();
+        inst_.bind_process(nullptr);
+        remember_nominal(s, inst_.solve_op());
+    }
+    return nominal_.converged ? &nominal_.solution : nullptr;
+}
+
+void OtaPrototype::remember_nominal(const OtaSizing& s, const spice::DcResult& op) {
+    nominal_.cached = true;
+    nominal_.sizing = s;
+    nominal_.converged = op.converged;
+    if (op.converged) nominal_.solution = op.solution;
 }
 
 OtaPerformance OtaPrototype::measure(const OtaSizing& sizing,

@@ -40,17 +40,18 @@ inline bool finite(C v) { return std::isfinite(v.real()) && std::isfinite(v.imag
 } // namespace
 
 bool HessenbergPencil::reduce(const MatrixD& k, const MatrixD& c, double s0,
-                              const std::vector<C>& b, std::size_t probe_a,
-                              std::size_t probe_b) {
+                              const std::vector<C>& b0, const std::vector<C>& b1,
+                              std::size_t probe_a, std::size_t probe_b) {
     const std::size_t n = k.rows();
-    if (!k.square() || c.rows() != n || c.cols() != n || b.size() != n)
+    if (!k.square() || c.rows() != n || c.cols() != n || b0.size() != n ||
+        (!b1.empty() && b1.size() != n))
         throw NumericalError("HessenbergPencil: shape mismatch");
     if (probe_a >= n || probe_b >= n)
         throw NumericalError("HessenbergPencil: probe index out of range");
     ready_ = false;
     n_ = n;
     s0_ = s0;
-    const std::size_t m = n + 4;
+    const std::size_t m = n + 6;
     if (a0_.rows() != n) a0_ = MatrixD(n);
     if (work_.rows() != n) work_ = MatrixD(n, m);
     v_.resize(n);
@@ -59,35 +60,42 @@ bool HessenbergPencil::reduce(const MatrixD& k, const MatrixD& c, double s0,
     w_.resize(n);
     inv_pivot_.resize(n);
 
-    // A0 = K + s0*C; W = [C | Re b | Im b | 0 | 0].
+    // A0 = K + s0*C; W = [C | b0 + s0*b1 | 0 | 0 | b1], complex columns
+    // split into real and imaginary parts (b1 = 0 when empty).
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = 0; j < n; ++j) {
             a0_(i, j) = k(i, j) + s0 * c(i, j);
             work_(i, j) = c(i, j);
         }
-        work_(i, n) = b[i].real();
-        work_(i, n + 1) = b[i].imag();
+        const C slope = b1.empty() ? C{} : b1[i];
+        const C y0 = b0[i] + s0 * slope;
+        work_(i, n) = y0.real();
+        work_(i, n + 1) = y0.imag();
         work_(i, n + 2) = 0.0;
         work_(i, n + 3) = 0.0;
+        work_(i, n + 4) = slope.real();
+        work_(i, n + 5) = slope.imag();
     }
     try {
         lu_.factor(a0_);
     } catch (const NumericalError&) {
         return false;
     }
-    // W = [M | Re y | Im y | 0 | 0].
+    // W = [M | y0 | 0 | 0 | y1].
     lu_.solve_columns(a0_, work_);
     for (const double v : work_.data())
         if (!std::isfinite(v)) return false;
 
     // M -> D^-1 M D; then (I + sigma M) x = y becomes
-    // (I + sigma D^-1 M D) x' = D^-1 y with x = D x', so y is scaled by
-    // D^-1 and the probes read d_a x'_a, d_b x'_b. D is a power of two, so
-    // every scaling is exact.
+    // (I + sigma D^-1 M D) x' = D^-1 y with x = D x', so y0 and y1 are
+    // scaled by D^-1 and the probes read d_a x'_a, d_b x'_b. D is a power
+    // of two, so every scaling is exact.
     balance();
     for (std::size_t i = 0; i < n; ++i) {
         work_(i, n) /= d_[i];
         work_(i, n + 1) /= d_[i];
+        work_(i, n + 4) /= d_[i];
+        work_(i, n + 5) /= d_[i];
     }
     work_(probe_a, n + 2) = d_[probe_a];
     work_(probe_b, n + 3) = d_[probe_b];
@@ -95,7 +103,8 @@ bool HessenbergPencil::reduce(const MatrixD& k, const MatrixD& c, double s0,
     // Householder reduction of M to upper Hessenberg form (Golub & Van
     // Loan, Alg. 7.4.2). Step k zeroes column k below the subdiagonal with
     // P = I - beta v v^T on rows/columns k+1..n-1, applied from the left to
-    // every column of W (so y and e_a, e_b become Q^T y, Q^T e_a, Q^T e_b)
+    // every column of W (so y0, y1 and e_a, e_b become Q^T y0, Q^T y1,
+    // Q^T e_a, Q^T e_b)
     // and from the right to the M block only.
     double* wk = work_.data().data();
     for (std::size_t col = 0; col + 2 < n; ++col) {
@@ -153,7 +162,7 @@ void HessenbergPencil::balance() {
     constexpr double kRadix2 = kRadix * kRadix;
     constexpr int kMaxSweeps = 64;
     const std::size_t n = n_;
-    const std::size_t m = n + 4;
+    const std::size_t m = n + 6;
     double* wk = work_.data().data();
     d_.assign(n, 1.0);
     bool done = false;
@@ -198,18 +207,19 @@ void HessenbergPencil::balance() {
 bool HessenbergPencil::solve(double omega, C& x_a, C& x_b) {
     if (!ready_) return false;
     const std::size_t n = n_;
-    const std::size_t m = n + 4;
+    const std::size_t m = n + 6;
     const double* wk = work_.data().data();
     C* t = t_.data();
+    const C sigma{-s0_, omega};
 
-    // T = I + sigma*H with sigma = j*omega - s0; rhs z.
+    // T = I + sigma*H with sigma = j*omega - s0; rhs z0 + sigma*z1.
     for (std::size_t i = 0; i < n; ++i) {
         const double* h = wk + i * m;
         C* row = t + i * n;
         for (std::size_t j = i == 0 ? 0 : i - 1; j < n; ++j)
             row[j] = {-s0_ * h[j], omega * h[j]};
         row[i] += 1.0;
-        w_[i] = {h[n], h[n + 1]};
+        w_[i] = C{h[n], h[n + 1]} + mul(sigma, {h[n + 4], h[n + 5]});
     }
 
     // Gaussian elimination of the single subdiagonal, pivoting between

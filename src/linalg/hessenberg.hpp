@@ -19,6 +19,14 @@
 /// O(n^2) complex. Only the rows of Q for two probed unknowns are kept, so
 /// a frequency returns those two unknowns, not the whole solution.
 ///
+/// The rhs may be affine in s, b(s) = b0 + s*b1: eliminating an unknown
+/// that a source pins moves its K + sC column onto the rhs. Then
+///
+///     A0^-1 b(s) = y0 + (s - s0) y1,  y0 = A0^-1 (b0 + s0*b1),  y1 = A0^-1 b1,
+///
+/// both reduce through the same reflectors, and a frequency solves
+/// (I + (s - s0) H) w = z0 + (s - s0) z1 at O(n) extra cost.
+///
 /// Before the Householder step M is balanced by an exact power-of-two
 /// diagonal similarity D^-1 M D (Parlett & Reinsch, "Balancing a matrix for
 /// calculation of eigenvalues and eigenvectors", Numer. Math. 13, 1969;
@@ -45,13 +53,15 @@ namespace ypm::linalg {
 /// allocates nothing once a system size has been seen.
 class HessenbergPencil {
 public:
-    /// Reduce K + sC about the real shift `s0` for the complex rhs `b`,
-    /// keeping the unknowns `probe_a` and `probe_b`. Returns false when A0
-    /// is singular or any reduced quantity is non-finite; solve() then
-    /// fails until the next successful reduce().
+    /// Reduce K + sC about the real shift `s0` for the complex rhs
+    /// b0 + s*b1, keeping the unknowns `probe_a` and `probe_b`. An empty
+    /// `b1` means b1 = 0, the constant rhs b0. Returns
+    /// false when A0 is singular or any reduced quantity is non-finite;
+    /// solve() then fails until the next successful reduce().
     /// \throws ypm::NumericalError on mismatched shapes or probe indices.
     [[nodiscard]] bool reduce(const MatrixD& k, const MatrixD& c, double s0,
-                              const std::vector<std::complex<double>>& b,
+                              const std::vector<std::complex<double>>& b0,
+                              const std::vector<std::complex<double>>& b1,
                               std::size_t probe_a, std::size_t probe_b);
 
     /// x[probe_a] and x[probe_b] at s = j*omega. Returns false on a zero
@@ -71,9 +81,10 @@ private:
     double s0_ = 0.0;
     bool ready_ = false;
     MatrixD a0_;
-    /// [H | Re z | Im z | q_a | q_b]: n x (n + 4). The reduction runs on
-    /// [D^-1 M D | D^-1 Re y | D^-1 Im y | d_a e_a | d_b e_b], so the left
-    /// reflectors carry y and the scaled probe vectors along for free.
+    /// [H | Re z0 | Im z0 | q_a | q_b | Re z1 | Im z1]: n x (n + 6). The
+    /// reduction runs on [D^-1 M D | D^-1 y0 | d_a e_a | d_b e_b | D^-1 y1],
+    /// so the left reflectors carry y0, y1 and the scaled probe vectors
+    /// along for free.
     MatrixD work_;
     std::vector<double> d_; ///< balancing diagonal D (powers of two)
     InplaceLu<double> lu_;

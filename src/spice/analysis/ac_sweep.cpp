@@ -16,11 +16,13 @@ namespace {
 struct AcSweepMetrics {
     obs::Counter& reduced;
     obs::Counter& fallbacks;
+    obs::Counter& pinned;
 
     static AcSweepMetrics& get() {
         auto& registry = obs::MetricsRegistry::global();
         static AcSweepMetrics metrics{registry.counter("spice.ac.reduced_sweeps"),
-                                      registry.counter("spice.ac.guard_fallbacks")};
+                                      registry.counter("spice.ac.guard_fallbacks"),
+                                      registry.counter("spice.ac.pinned_unknowns")};
         return metrics;
     }
 };
@@ -85,6 +87,7 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
 
     // The whole sweep through one Hessenberg reduction of the real pencil
     // K + sC; false when a guard fires and the dense loop must answer.
+    AcSweepMetrics& metrics = AcSweepMetrics::get();
     const auto reduced_sweep = [&](std::vector<C>& h) -> bool {
         if (ws.k_.rows() != n) {
             ws.k_ = linalg::MatrixD(n);
@@ -94,16 +97,91 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
         ws.c_.set_zero();
         ws.recorder_.sum_pencil(ws.k_.data().data(), ws.c_.data().data());
         for (std::size_t i = 0; i < n_nodes; ++i) ws.k_(i, i) += 1e-15;
+        const linalg::MatrixD& k = ws.k_;
+        const linalg::MatrixD& c = ws.c_;
+
+        // Pinned unknowns: branch r of a grounded ideal voltage source has
+        // one K entry in its row, at its node i, is met in K's column r only
+        // by row i's KCL, and has no C entry in row or column r. Row r then
+        // fixes V(i) = b[r] / K(r, i) at every frequency, and row i only
+        // yields the source current nobody reads, so node i and branch r
+        // leave the pencil. The output node is never eliminated.
+        ws.pinned_.assign(n, 0);
+        ws.pins_.clear();
+        for (std::size_t r = n_nodes; r < n; ++r) {
+            std::size_t node = n;
+            bool pins = true;
+            for (std::size_t j = 0; j < n && pins; ++j) {
+                if (c(r, j) != 0.0 || c(j, r) != 0.0)
+                    pins = false;
+                else if (k(r, j) != 0.0) {
+                    pins = node == n;
+                    node = j;
+                }
+            }
+            if (!pins || node >= n_nodes || node == out_idx || ws.pinned_[node] != 0 ||
+                k(node, r) == 0.0)
+                continue;
+            for (std::size_t j = 0; j < n && pins; ++j)
+                pins = j == node || k(j, r) == 0.0;
+            if (!pins) continue;
+            ws.pinned_[node] = 1;
+            ws.pinned_[r] = 1;
+            ws.pins_.emplace_back(node, ws.b_[r] / k(r, node));
+        }
+
+        // The kept unknowns' pencil; each pinned V(i) moves its column
+        // V(i)*(K[:, i] + s*C[:, i]) to the rhs, which becomes b0 + s*b1.
+        ws.keep_.clear();
+        for (std::size_t i = 0; i < n; ++i)
+            if (ws.pinned_[i] == 0) ws.keep_.push_back(i);
+        const std::size_t nr = ws.keep_.size();
+        metrics.pinned.add(n - nr);
+        if (ws.kr_.rows() != nr) {
+            ws.kr_ = linalg::MatrixD(nr);
+            ws.cr_ = linalg::MatrixD(nr);
+        }
+        ws.b0_.resize(nr);
+        ws.b1_.resize(nr);
+        std::size_t out_r = 0;
+        std::size_t in_r = nr;
+        for (std::size_t a = 0; a < nr; ++a) {
+            const std::size_t row = ws.keep_[a];
+            if (row == out_idx) out_r = a;
+            if (row == in_idx) in_r = a;
+            for (std::size_t col = 0; col < nr; ++col) {
+                ws.kr_(a, col) = k(row, ws.keep_[col]);
+                ws.cr_(a, col) = c(row, ws.keep_[col]);
+            }
+            C b0 = ws.b_[row];
+            C b1{};
+            for (const auto& [node, v] : ws.pins_) {
+                b0 -= v * k(row, node);
+                b1 -= v * c(row, node);
+            }
+            ws.b0_[a] = b0;
+            ws.b1_[a] = b1;
+        }
+
+        // h = x_out / x_in, or x_out / V(in) when a source pins `in`.
+        C inv_vin{};
+        if (in_r == nr) {
+            const auto pin = std::find_if(ws.pins_.begin(), ws.pins_.end(),
+                                          [&](const auto& p) { return p.first == in_idx; });
+            if (pin->second == C{}) return false;
+            inv_vin = C{1.0} / pin->second;
+        }
 
         // Real shift at the sweep's geometric centre.
         const double s0 = omega_of(std::sqrt(freqs.front() * freqs.back()));
-        if (!ws.pencil_.reduce(ws.k_, ws.c_, s0, ws.b_, out_idx, in_idx))
+        if (!ws.pencil_.reduce(ws.kr_, ws.cr_, s0, ws.b0_, ws.b1_, out_r,
+                               in_r == nr ? out_r : in_r))
             return false;
         h.resize(freqs.size());
         for (std::size_t i = 0; i < freqs.size(); ++i) {
             C v_out, v_in;
             if (!ws.pencil_.solve(omega_of(freqs[i]), v_out, v_in)) return false;
-            h[i] = v_out / v_in;
+            h[i] = in_r == nr ? v_out * inv_vin : v_out / v_in;
             if (!std::isfinite(h[i].real()) || !std::isfinite(h[i].imag()))
                 return false;
         }
@@ -125,7 +203,6 @@ ac_sweep_transfer(Circuit& circuit, const Solution& op,
 
     std::vector<C> h;
     if (freqs.empty()) return h;
-    AcSweepMetrics& metrics = AcSweepMetrics::get();
     if (reduced_sweep(h)) {
         metrics.reduced.add();
         return h;

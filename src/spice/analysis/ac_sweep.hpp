@@ -17,6 +17,17 @@
 /// O(n^2) Hessenberg solve instead of an O(n^3) complex LU. Results agree
 /// with run_ac to rounding, not bit for bit.
 ///
+/// Before the reduction the sweep drops the unknowns that grounded ideal
+/// voltage sources pin. A branch r qualifies when its K row holds exactly
+/// one nonzero, at a node i, its K column is nonzero only in row i, and its
+/// C row and column are zero: then V(i) = b[r] / K(r, i) at every
+/// frequency, and row i only determines the source current. Node i and
+/// branch r leave the pencil, and V(i)*(K[:, i] + s*C[:, i]) moves to the
+/// rhs, which becomes affine in s (b0 + s*b1; a capacitance at the pinned
+/// node makes b1 nonzero). When the input node is pinned, h = x_out / V(in).
+/// The output node is never eliminated. On the OTA testbench the supply and
+/// input sources take n from 13 to 9.
+///
 /// The dense path is only the guard's fallback. The guard answers the whole
 /// sweep densely when A0 = K + s0*C is singular or non-finite, a reduced
 /// pivot is zero, a result is non-finite, or h at the first or last
@@ -29,11 +40,17 @@
 /// InplaceLu matches Lu's pivoting and elimination arithmetic (see the class
 /// notes for the one sub-ulp caveat on complex pivot ties).
 ///
+/// The guard and the dense path work on the full system, never on the
+/// eliminated one.
+///
 /// The registry counter spice.ac.reduced_sweeps counts the sweeps the
 /// reduced path answered and spice.ac.guard_fallbacks the sweeps a guard
 /// handed to the dense path; their sum is every sweep.
+/// spice.ac.pinned_unknowns sums the unknowns eliminated over all reduced
+/// attempts (4 per OTA sweep).
 
 #include <complex>
+#include <utility>
 #include <vector>
 
 #include "linalg/hessenberg.hpp"
@@ -62,6 +79,13 @@ private:
     AcTermRecorder recorder_{0, 0};
     linalg::MatrixD k_;
     linalg::MatrixD c_;
+    std::vector<char> pinned_;                            ///< per unknown
+    std::vector<std::pair<std::size_t, std::complex<double>>> pins_; ///< node, V
+    std::vector<std::size_t> keep_; ///< reduced index -> full index
+    linalg::MatrixD kr_;
+    linalg::MatrixD cr_;
+    std::vector<std::complex<double>> b0_;
+    std::vector<std::complex<double>> b1_;
     linalg::HessenbergPencil pencil_;
 };
 

@@ -6,6 +6,13 @@
 /// Robustness matters more than raw speed here: the WBGA evaluates 10,000
 /// sizings (paper Table 5) and every one must either converge or fail
 /// loudly so the optimiser can penalise it.
+///
+/// Monte Carlo samples are where speed counts: a process sample sits close
+/// to its sizing's nominal operating point, so Newton started there (the
+/// warm-start overloads below) needs about a third of a cold start's
+/// iterations. CircuitPrototype::Instance::solve_op(initial) runs it
+/// through solve(circuit, initial, ws): when the warm Newton fails, gmin
+/// and source stepping take over from zero as in a cold solve.
 
 #include <string>
 #include <vector>

@@ -5,6 +5,24 @@
 
 namespace ypm::spice {
 
+namespace {
+
+/// Warm-start instruments, resolved once; always-on (one relaxed atomic
+/// bump per solve).
+struct WarmDcMetrics {
+    obs::Counter& starts;
+    obs::Counter& fallbacks;
+
+    static WarmDcMetrics& get() {
+        auto& registry = obs::MetricsRegistry::global();
+        static WarmDcMetrics metrics{registry.counter("spice.dc.warm_starts"),
+                                     registry.counter("spice.dc.warm_fallbacks")};
+        return metrics;
+    }
+};
+
+} // namespace
+
 CircuitPrototype::CircuitPrototype(Circuit circuit)
     : circuit_(std::move(circuit)) {
     circuit_.finalize();
@@ -31,6 +49,15 @@ void CircuitPrototype::bind_process(const process::Realization* realization) {
     for (Mosfet* mos : mosfets_)
         mos->apply_delta(
             realization->delta_for(str::to_lower(mos->name()), mos->is_pmos()));
+}
+
+DcResult CircuitPrototype::Instance::solve_op(const Solution& initial,
+                                              const DcOptions& options) {
+    WarmDcMetrics& metrics = WarmDcMetrics::get();
+    metrics.starts.add();
+    DcResult result = DcSolver(options).solve(proto_->circuit(), initial, dc_ws_);
+    if (result.method != "newton") metrics.fallbacks.add();
+    return result;
 }
 
 } // namespace ypm::spice

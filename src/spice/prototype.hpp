@@ -15,14 +15,18 @@
 /// device lookup for sizing re-binding), and - through its Instance view -
 /// the MNA stamp pattern and factorisation workspaces of the DC and AC
 /// analyses. Re-binding a new point mutates device parameters in place and
-/// re-stamps numerics without reallocating structure. The DC operating
+/// re-stamps numerics without reallocating structure. A cold DC operating
 /// point is bit-identical to building a fresh circuit at the same point
-/// (same device order, same stamp values, same solver trajectory); the AC
+/// (same device order, same stamp values, same solver trajectory). A warm
+/// one (solve_op(initial): Newton from a caller's start, the homotopies
+/// when that fails) converges to the same point within the Newton
+/// tolerances, not bit for bit; the OTA prototype starts every process
+/// sample from its sizing's nominal OP this way (circuits/ota.hpp). The AC
 /// sweep matches run_ac on the fresh circuit to rounding on the
 /// Hessenberg-reduced path every circuit takes, and bit for bit on the
 /// dense guard fallback (see ac_sweep.hpp). Either way a re-bound point
-/// depends only on that point: results never depend on what the instance
-/// measured before.
+/// depends only on that point and the start it is given: results never
+/// depend on what the instance measured before.
 ///
 /// Instances are cheap but stateful: one Instance (and one prototype) per
 /// thread. The engine's chunk kernels construct one per chunk.
@@ -103,6 +107,14 @@ public:
             const DcSolver solver(options);
             return solver.solve(proto_->circuit(), dc_ws_);
         }
+
+        /// Warm-start DC operating point: DcSolver(options).solve(circuit,
+        /// initial, ws), i.e. Newton from `initial`, then gmin and source
+        /// stepping from zero when that fails. Agrees with the cold solve
+        /// within the Newton tolerances. Counted in spice.dc.warm_starts
+        /// and, when the warm Newton failed, spice.dc.warm_fallbacks.
+        [[nodiscard]] DcResult solve_op(const Solution& initial,
+                                        const DcOptions& options = {});
 
         /// AC transfer sweep h[i] = V(out)/V(in) through
         /// ac_sweep_transfer: equal to run_ac + AcResult::transfer on a

@@ -248,7 +248,7 @@ TEST(HessenbergPencil, RandomPencilsMatchDenseLu) {
         const std::size_t probe_a = n - 1;
         const std::size_t probe_b = n / 2;
         linalg::HessenbergPencil pencil;
-        ASSERT_TRUE(pencil.reduce(k, c, s0, b, probe_a, probe_b)) << "n=" << n;
+        ASSERT_TRUE(pencil.reduce(k, c, s0, b, {}, probe_a, probe_b)) << "n=" << n;
 
         const MatrixD h = pencil.hessenberg();
         for (std::size_t i = 2; i < n; ++i)
@@ -287,17 +287,16 @@ TEST(HessenbergPencil, RandomPencilsMatchDenseLu) {
     }
 }
 
-// Regression: the small-signal pencil of one OTA testbench sample under a
-// widened process draw, as AcTermRecorder::sum_pencil builds it (node floor
-// included). Unknowns 0-9 are nodes (1 = inp, 2 = inn, 3 = out), 10-12
-// branches (10, 11 the supply and input sources, 12 the feedback inductor).
-// The 1e6 H inductor (C(12,12)) and the 1 F AC ground on inn (C(2,2)) sit
-// beside fF-pF device capacitances, which leaves M = A0^-1 C's row and
-// column norms ~17 decades apart. Unbalanced, the reduction was off by
-// ~1e-6 relative at the 10 Hz end of the 10 Hz - 10 GHz sweep (tripping
-// the sweep's 1e-6 endpoint guard); balanced, it is off by < 1e-8.
-TEST(HessenbergPencil, BalancedReductionOfOtaPencilMatchesDenseLu) {
-    using C = std::complex<double>;
+// The small-signal pencil of one OTA testbench sample under a widened
+// process draw, as AcTermRecorder::sum_pencil builds it (node floor
+// included). Unknowns 0-9 are nodes (0 = vdd, 1 = inp, 2 = inn, 3 = out),
+// 10-12 branches (10, 11 the supply and input sources, 12 the feedback
+// inductor).
+constexpr std::size_t kOtaN = 13;
+constexpr std::size_t kOtaOut = 3;
+constexpr std::size_t kOtaInp = 1;
+
+void ota_sample_pencil(MatrixD& k, MatrixD& c) {
     struct Entry {
         std::size_t row, col;
         double k, c;
@@ -357,22 +356,35 @@ TEST(HessenbergPencil, BalancedReductionOfOtaPencilMatchesDenseLu) {
         {12, 3, 1.0, 0.0},
         {12, 12, 0.0, -1000000.0},
     };
-    const std::size_t n = 13;
-    const std::size_t out = 3;
-    const std::size_t inp = 1;
-    MatrixD k(n);
-    MatrixD c(n);
+    k = MatrixD(kOtaN);
+    c = MatrixD(kOtaN);
     for (const Entry& e : entries) {
         k(e.row, e.col) = e.k;
         c(e.row, e.col) = e.c;
     }
+}
+
+// Regression: the 1e6 H inductor (C(12,12)) and the 1 F AC ground on inn
+// (C(2,2)) of the OTA pencil sit beside fF-pF device capacitances, which
+// leaves M = A0^-1 C's row and column norms ~17 decades apart. Unbalanced,
+// the reduction was off by ~1e-6 relative at the 10 Hz end of the
+// 10 Hz - 10 GHz sweep (tripping the sweep's 1e-6 endpoint guard);
+// balanced, it is off by < 1e-8.
+TEST(HessenbergPencil, BalancedReductionOfOtaPencilMatchesDenseLu) {
+    using C = std::complex<double>;
+    const std::size_t n = kOtaN;
+    const std::size_t out = kOtaOut;
+    const std::size_t inp = kOtaInp;
+    MatrixD k;
+    MatrixD c;
+    ota_sample_pencil(k, c);
     std::vector<C> b(n);
     b[11] = 1.0; // the input source's AC magnitude
 
     const double two_pi = 2.0 * 3.14159265358979323846;
     const double s0 = two_pi * std::sqrt(10.0 * 10e9);
     linalg::HessenbergPencil pencil;
-    ASSERT_TRUE(pencil.reduce(k, c, s0, b, out, inp));
+    ASSERT_TRUE(pencil.reduce(k, c, s0, b, {}, out, inp));
     const MatrixD h = pencil.hessenberg();
     for (std::size_t i = 2; i < n; ++i)
         for (std::size_t j = 0; j + 1 < i; ++j)
@@ -394,6 +406,107 @@ TEST(HessenbergPencil, BalancedReductionOfOtaPencilMatchesDenseLu) {
     }
 }
 
+// The affine rhs b0 + s*b1 that eliminating source-pinned unknowns leaves:
+// the OTA pencil without the supply (vdd, branch 10) and input (inp,
+// branch 11) pairs, with V(vdd) = 0 and V(inp) = 1 moved to the rhs. inp's
+// gate capacitances make b1 nonzero. Across the OTA's 10 Hz - 10 GHz sweep
+// the 9-unknown reduction must reproduce a dense LU of the full system.
+TEST(HessenbergPencil, AffineRhsOfEliminatedSourcesMatchesDenseLu) {
+    using C = std::complex<double>;
+    MatrixD k;
+    MatrixD c;
+    ota_sample_pencil(k, c);
+    std::vector<C> b(kOtaN);
+    b[11] = 1.0;
+
+    const std::vector<std::size_t> keep = {2, 3, 4, 5, 6, 7, 8, 9, 12};
+    const std::size_t n = keep.size();
+    const C v_inp = b[11] / k(11, kOtaInp);
+    MatrixD kr(n);
+    MatrixD cr(n);
+    std::vector<C> b0(n);
+    std::vector<C> b1(n);
+    std::size_t out = n;
+    for (std::size_t a = 0; a < n; ++a) {
+        if (keep[a] == kOtaOut) out = a;
+        for (std::size_t j = 0; j < n; ++j) {
+            kr(a, j) = k(keep[a], keep[j]);
+            cr(a, j) = c(keep[a], keep[j]);
+        }
+        b0[a] = b[keep[a]] - v_inp * k(keep[a], kOtaInp);
+        b1[a] = -v_inp * c(keep[a], kOtaInp);
+    }
+    ASSERT_LT(out, n);
+    ASSERT_TRUE(std::any_of(b1.begin(), b1.end(), [](C v) { return v != C{}; }));
+
+    const double two_pi = 2.0 * 3.14159265358979323846;
+    const double s0 = two_pi * std::sqrt(10.0 * 10e9);
+    linalg::HessenbergPencil pencil;
+    ASSERT_TRUE(pencil.reduce(kr, cr, s0, b0, b1, out, out));
+    for (double f = 10.0; f <= 1.0001e10; f *= std::sqrt(10.0)) {
+        const double omega = two_pi * f;
+        MatrixC a(kOtaN);
+        for (std::size_t i = 0; i < kOtaN; ++i)
+            for (std::size_t j = 0; j < kOtaN; ++j)
+                a(i, j) = C(k(i, j), omega * c(i, j));
+        const auto ref = linalg::solve(a, b);
+        C x_out, x_dup;
+        ASSERT_TRUE(pencil.solve(omega, x_out, x_dup)) << "f=" << f;
+        EXPECT_EQ(x_out, x_dup);
+        const C h_ref = ref[kOtaOut] / ref[kOtaInp];
+        EXPECT_LE(std::abs(x_out / v_inp - h_ref),
+                  1e-8 * std::max(std::abs(h_ref), 1e-3))
+            << "f=" << f;
+    }
+}
+
+// The affine rhs on random pencils: (K + sC) x = b0 + s*b1 at s = j*omega
+// against a dense complex LU.
+TEST(HessenbergPencil, RandomAffineRhsMatchesDenseLu) {
+    using C = std::complex<double>;
+    for (std::size_t n : {1u, 2u, 5u, 9u}) {
+        Rng rng(4000 + n);
+        MatrixD k(n);
+        MatrixD c(n);
+        std::vector<C> b0(n);
+        std::vector<C> b1(n);
+        for (std::size_t i = 0; i < n; ++i) {
+            for (std::size_t j = 0; j < n; ++j) {
+                k(i, j) = rng.uniform(-1.0, 1.0);
+                c(i, j) = rng.uniform(-1.0, 1.0);
+            }
+            k(i, i) += static_cast<double>(n);
+            b0[i] = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+            b1[i] = C(rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0));
+        }
+        const std::size_t probe_a = n - 1;
+        const std::size_t probe_b = n / 2;
+        linalg::HessenbergPencil pencil;
+        ASSERT_TRUE(pencil.reduce(k, c, 1.5, b0, b1, probe_a, probe_b)) << "n=" << n;
+        for (double omega : {1e-3, 0.3, 1.0, 7.0, 100.0}) {
+            MatrixC a(n);
+            std::vector<C> rhs(n);
+            for (std::size_t i = 0; i < n; ++i) {
+                for (std::size_t j = 0; j < n; ++j)
+                    a(i, j) = C(k(i, j), omega * c(i, j));
+                rhs[i] = b0[i] + C(0.0, omega) * b1[i];
+            }
+            const auto x = linalg::solve(a, rhs);
+            double scale = 0.0;
+            for (const C& v : x) scale = std::max(scale, std::abs(v));
+            C x_a, x_b;
+            ASSERT_TRUE(pencil.solve(omega, x_a, x_b));
+            EXPECT_LE(std::abs(x_a - x[probe_a]), 1e-10 * scale)
+                << "n=" << n << " omega=" << omega;
+            EXPECT_LE(std::abs(x_b - x[probe_b]), 1e-10 * scale)
+                << "n=" << n << " omega=" << omega;
+        }
+        EXPECT_THROW((void)pencil.reduce(k, c, 1.5, b0, std::vector<C>(n + 1),
+                                         probe_a, probe_b),
+                     NumericalError);
+    }
+}
+
 TEST(HessenbergPencil, SingularShiftedMatrixIsReported) {
     // K = -s0*C makes A0 = K + s0*C exactly zero.
     const double s0 = 4.0;
@@ -402,10 +515,10 @@ TEST(HessenbergPencil, SingularShiftedMatrixIsReported) {
     for (std::size_t i = 0; i < 3; ++i) k(i, i) = -s0;
     const std::vector<std::complex<double>> b(3, {1.0, 0.0});
     linalg::HessenbergPencil pencil;
-    EXPECT_FALSE(pencil.reduce(k, c, s0, b, 0, 1));
+    EXPECT_FALSE(pencil.reduce(k, c, s0, b, {}, 0, 1));
     std::complex<double> x_a, x_b;
     EXPECT_FALSE(pencil.solve(1.0, x_a, x_b));
-    EXPECT_THROW((void)pencil.reduce(k, c, s0, b, 3, 0), NumericalError);
+    EXPECT_THROW((void)pencil.reduce(k, c, s0, b, {}, 3, 0), NumericalError);
 }
 
 } // namespace

@@ -162,19 +162,20 @@ std::vector<double> ota_freqs(const circuits::OtaConfig& cfg) {
 
 std::vector<std::complex<double>>
 rebuild_ota_transfer(const circuits::OtaSizing& sizing,
-                     const process::Realization* real) {
-    const circuits::OtaConfig cfg;
+                     const process::Realization* real,
+                     const circuits::OtaConfig& cfg = {}) {
     spice::Circuit ckt = circuits::build_ota_testbench(sizing, cfg);
     if (real != nullptr) ckt.apply_process(*real);
     return rebuild_transfer(ckt, ota_freqs(cfg), "out", "inp");
 }
 
 circuits::OtaPerformance rebuild_ota(const circuits::OtaSizing& sizing,
-                                     const process::Realization* real) {
+                                     const process::Realization* real,
+                                     const circuits::OtaConfig& cfg = {}) {
     circuits::OtaPerformance perf;
-    const auto h = rebuild_ota_transfer(sizing, real);
+    const auto h = rebuild_ota_transfer(sizing, real, cfg);
     if (h.empty()) return perf;
-    perf.bode = spice::bode_metrics(ota_freqs(circuits::OtaConfig{}), h);
+    perf.bode = spice::bode_metrics(ota_freqs(cfg), h);
     perf.gain_db = perf.bode.dc_gain_db;
     perf.pm_deg = perf.bode.phase_margin_deg;
     perf.valid = !std::isnan(perf.pm_deg) && perf.gain_db > 0.0;
@@ -380,26 +381,20 @@ TEST(AcSweep, GuardFallsBackToDense) {
     expect_h_identical(h_ref, h);
 }
 
-TEST(AcSweep, FrontDesignsUnderWidenedDrawsStayReduced) {
-    // Regression for the balancing step of the reduction: the OTA
-    // testbench's 1e6 H feedback inductor and 1 F AC ground beside fF-pF
-    // device capacitances leave M = A0^-1 C badly scaled. Unbalanced, the
-    // reduction missed the endpoint guard at f_start on up to a quarter of
-    // the sweeps of the front's high-PM end (~50 dB gain) under widened
-    // process draws. Designs: both ends of small WBGA fronts, as the
-    // yield_certify benchmark workload picks them; draws: its certification
-    // pilot proposal (sigma x 2).
+/// A front design and its index in the WBGA archive.
+struct FrontDesign {
+    std::size_t archive_index;
+    circuits::OtaSizing sizing;
+};
+
+/// Both ends of three small WBGA fronts, as the yield_certify benchmark
+/// workload picks its designs.
+std::vector<FrontDesign> wbga_front_designs() {
     const circuits::OtaProblem problem;
-    const circuits::OtaEvaluator evaluator;
-    const process::ProcessSampler sampler(evaluator.config().card,
-                                          process::VariationSpec::c35());
     moo::WbgaConfig ga;
     ga.population = 24;
     ga.generations = 8;
-    process::SampleShift widened;
-    widened.scale = 2.0;
-    const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
-    std::size_t valid = 0;
+    std::vector<FrontDesign> designs;
     for (std::uint64_t g = 0; g < 3; ++g) {
         Rng ga_rng = Rng(2024).child(1 + g);
         const moo::WbgaResult archive = moo::Wbga(problem, ga).run(ga_rng);
@@ -409,25 +404,185 @@ TEST(AcSweep, FrontDesignsUnderWidenedDrawsStayReduced) {
             if (!moo::evaluation_failed(o) && o[1] >= 10.0 && o[0] >= 1.0)
                 front.push_back(idx);
         }
-        ASSERT_GE(front.size(), 2u);
-        for (std::size_t idx : {front.front(), front.back()}) {
-            const auto sizing =
-                circuits::OtaSizing::from_vector(archive.archive[idx].params);
-            const auto geometries =
-                circuits::build_ota_testbench(sizing, evaluator.config())
-                    .mos_geometries();
-            Rng draw_rng = Rng(91).child(idx);
-            std::vector<process::Realization> reals;
-            for (int i = 0; i < 48; ++i)
-                reals.push_back(
-                    sampler.sample_shifted(draw_rng, geometries, widened)
-                        .realization);
-            for (const auto& perf : evaluator.measure_chunk(sizing, reals))
-                if (perf.valid) ++valid;
-        }
+        EXPECT_GE(front.size(), 2u);
+        if (front.empty()) continue;
+        for (std::size_t idx : {front.front(), front.back()})
+            designs.push_back(
+                {idx, circuits::OtaSizing::from_vector(archive.archive[idx].params)});
     }
+    return designs;
+}
+
+/// `n` c35 draws for `sizing` at `scale` x the nominal sigma.
+std::vector<process::Realization> widened_draws(const circuits::OtaSizing& sizing,
+                                                double scale, std::size_t n,
+                                                Rng rng) {
+    const circuits::OtaConfig cfg;
+    const process::ProcessSampler sampler(cfg.card, process::VariationSpec::c35());
+    const auto geometries = circuits::build_ota_testbench(sizing, cfg).mos_geometries();
+    process::SampleShift widened;
+    widened.scale = scale;
+    std::vector<process::Realization> reals;
+    for (std::size_t i = 0; i < n; ++i)
+        reals.push_back(sampler.sample_shifted(rng, geometries, widened).realization);
+    return reals;
+}
+
+TEST(AcSweep, FrontDesignsUnderWidenedDrawsStayReduced) {
+    // Regression for the balancing step of the reduction: the OTA
+    // testbench's 1e6 H feedback inductor and 1 F AC ground beside fF-pF
+    // device capacitances leave M = A0^-1 C badly scaled. Unbalanced, the
+    // reduction missed the endpoint guard at f_start on up to a quarter of
+    // the sweeps of the front's high-PM end (~50 dB gain) under widened
+    // process draws. Designs: both ends of small WBGA fronts; draws: the
+    // yield_certify workload's certification pilot proposal (sigma x 2).
+    const circuits::OtaEvaluator evaluator;
+    const auto designs = wbga_front_designs();
+    ASSERT_EQ(designs.size(), 6u);
+    const std::uint64_t fallbacks = counter_value("spice.ac.guard_fallbacks");
+    std::size_t valid = 0;
+    for (const auto& [idx, sizing] : designs)
+        for (const auto& perf : evaluator.measure_chunk(
+                 sizing, widened_draws(sizing, 2.0, 48, Rng(91).child(idx))))
+            if (perf.valid) ++valid;
     EXPECT_GE(valid, 250u);
     EXPECT_EQ(counter_value("spice.ac.guard_fallbacks"), fallbacks);
+}
+
+// ---------------------------------------------------------------- warm DC
+//
+// A process sample's DC Newton starts from its sizing's nominal OP. The
+// contract: the same operating point as a cold solve within the Newton
+// tolerances, the cold path whenever the nominal OP cannot answer, and
+// results that stay a function of (sizing, realisation) alone.
+
+TEST(WarmDc, MatchesColdOverWidenedDrawsOfFrontDesigns) {
+    // sigma x 3 draws, wider than the certification pilot's x 2.
+    const circuits::OtaConfig cfg;
+    const std::uint64_t fallbacks = counter_value("spice.dc.warm_fallbacks");
+    std::size_t compared = 0;
+    std::size_t warm_iterations = 0;
+    std::size_t cold_iterations = 0;
+    const auto designs = wbga_front_designs();
+    ASSERT_EQ(designs.size(), 6u);
+    for (std::size_t d = 0; d < designs.size(); ++d) {
+        const circuits::OtaSizing& sizing = designs[d].sizing;
+        spice::CircuitPrototype proto(circuits::build_ota_testbench(sizing, cfg));
+        auto inst = proto.instance();
+        const spice::DcResult nominal = inst.solve_op();
+        ASSERT_TRUE(nominal.converged);
+        for (const auto& real : widened_draws(sizing, 3.0, 32, Rng(93).child(d))) {
+            inst.bind_process(&real);
+            const spice::DcResult cold = inst.solve_op();
+            const spice::DcResult warm = inst.solve_op(nominal.solution);
+            ASSERT_TRUE(cold.converged);
+            ASSERT_TRUE(warm.converged);
+            EXPECT_EQ(warm.method, "newton");
+            for (std::size_t i = 0; i < proto.circuit().node_count(); ++i)
+                EXPECT_LE(std::fabs(warm.solution.raw()[i] - cold.solution.raw()[i]),
+                          1e-8)
+                    << "design " << d << " node " << i;
+            warm_iterations += warm.iterations;
+            cold_iterations += cold.iterations;
+            ++compared;
+        }
+    }
+    EXPECT_EQ(compared, 6u * 32u);
+    EXPECT_EQ(counter_value("spice.dc.warm_fallbacks"), fallbacks);
+    EXPECT_LT(2 * warm_iterations, cold_iterations);
+}
+
+TEST(WarmDc, FailedNominalMeasuresSamplesCold) {
+    // A 120 A tail: the nominal OP does not converge, while about half of
+    // the process samples do from a cold start. With no nominal OP to start
+    // from, every sample must take the cold path and answer like the
+    // fresh-build oracle.
+    circuits::OtaConfig cfg;
+    cfg.i_tail = 120.0;
+    const circuits::OtaEvaluator evaluator(cfg);
+    const circuits::OtaSizing sizing;
+    const auto nominal = evaluator.measure(sizing);
+    ASSERT_FALSE(nominal.valid);
+    ASSERT_EQ(nominal.failure, "dc operating point did not converge");
+
+    const process::ProcessSampler sampler(cfg.card, process::VariationSpec::c35());
+    const auto geometries = circuits::build_ota_testbench(sizing, cfg).mos_geometries();
+    Rng rng(5);
+    std::vector<process::Realization> reals;
+    for (int i = 0; i < 40; ++i) reals.push_back(sampler.sample(rng, geometries));
+
+    const std::uint64_t starts = counter_value("spice.dc.warm_starts");
+    const auto chunk = evaluator.measure_chunk(sizing, reals);
+    EXPECT_EQ(counter_value("spice.dc.warm_starts"), starts);
+    std::size_t dc_converged = 0;
+    for (std::size_t i = 0; i < reals.size(); ++i) {
+        spice::Circuit ckt = circuits::build_ota_testbench(sizing, cfg);
+        ckt.apply_process(reals[i]);
+        const bool converged = spice::DcSolver().solve(ckt).converged;
+        EXPECT_EQ(converged, chunk[i].failure != "dc operating point did not converge")
+            << "sample " << i;
+        if (converged) ++dc_converged;
+        expect_perf_close(rebuild_ota(sizing, &reals[i], cfg), chunk[i]);
+        expect_perf_identical(chunk[i], evaluator.measure(sizing, reals[i]));
+    }
+    EXPECT_GT(dc_converged, 0u);
+}
+
+TEST(WarmDc, BitIdenticalAcrossEntryPointsLeasesAndThreads) {
+    // The cached nominal OP is a function of the sizing alone, so whether
+    // a lease hits or misses the cache, which entry point asks and how the
+    // engine splits the samples must not show in a single bit.
+    const circuits::OtaSizing sizing = random_sizings(1, 83).front();
+    const auto reals = widened_draws(sizing, 2.0, 24, Rng(89));
+    const std::uint64_t starts = counter_value("spice.dc.warm_starts");
+
+    const circuits::OtaEvaluator fresh;
+    const auto cold_lease = fresh.measure_chunk(sizing, reals);
+    EXPECT_GT(counter_value("spice.dc.warm_starts"), starts);
+    std::size_t valid = 0;
+    for (std::size_t i = 0; i < reals.size(); ++i) {
+        expect_perf_close(rebuild_ota(sizing, &reals[i]), cold_lease[i]);
+        if (cold_lease[i].valid) ++valid;
+    }
+    EXPECT_GT(valid, 0u);
+
+    // A lease warm on another sizing's nominal OP, then a cache hit.
+    const circuits::OtaEvaluator used;
+    const auto other = random_sizings(2, 97);
+    (void)used.measure_chunk(other[0], widened_draws(other[0], 1.0, 4, Rng(3)));
+    const std::vector<circuits::OtaSizing> repeated(reals.size(), sizing);
+    const std::uint64_t misses = counter_value("ota.nominal_op_misses");
+    const std::vector<std::vector<circuits::OtaPerformance>> runs = {
+        used.measure_chunk(sizing, reals), used.measure_chunk(sizing, reals),
+        used.measure_chunk(repeated, reals)};
+    // The first chunk misses the cache once; its repeats hit.
+    EXPECT_EQ(counter_value("ota.nominal_op_misses"), misses + 1);
+    for (const auto& run : runs)
+        for (std::size_t i = 0; i < reals.size(); ++i)
+            expect_perf_identical(cold_lease[i], run[i]);
+    (void)used.measure(other[1]);
+    for (std::size_t i = 0; i < reals.size(); ++i)
+        expect_perf_identical(cold_lease[i], used.measure(sizing, reals[i]));
+    // A nominal measure re-keys the cache: the first scalar sample misses.
+    EXPECT_EQ(counter_value("ota.nominal_op_misses"), misses + 2);
+
+    // Monte Carlo through engines of 1, 2 and 4 threads.
+    const process::ProcessSampler sampler(fresh.config().card,
+                                          process::VariationSpec::c35());
+    std::vector<mc::McResult> mc_runs;
+    for (std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4}}) {
+        eval::EngineConfig config;
+        config.threads = threads;
+        eval::Engine engine(config);
+        Rng rng(101);
+        mc_runs.push_back(
+            core::run_ota_monte_carlo(engine, used, sizing, sampler, 40, rng));
+    }
+    for (std::size_t t = 1; t < mc_runs.size(); ++t) {
+        ASSERT_EQ(mc_runs[t].rows.size(), mc_runs[0].rows.size());
+        for (std::size_t i = 0; i < mc_runs[0].rows.size(); ++i)
+            expect_rows_identical(mc_runs[0].rows[i], mc_runs[t].rows[i]);
+    }
 }
 
 TEST(CircuitPrototype, CachesStructureAndSlots) {

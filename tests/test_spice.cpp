@@ -1,13 +1,20 @@
 // Unit tests for the simulator substrate: MNA stamps via known linear
 // circuits, the Newton DC solver, AC analysis against closed-form transfer
-// functions, DC sweeps and the Bode/lowpass measurement helpers.
+// functions, the reduced AC sweep's elimination of source-pinned unknowns,
+// DC sweeps and the Bode/lowpass measurement helpers.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <complex>
+#include <cstdint>
+#include <vector>
 
+#include "circuits/ota.hpp"
+#include "obs/metrics.hpp"
 #include "spice/analysis/ac.hpp"
+#include "spice/analysis/ac_sweep.hpp"
 #include "spice/analysis/dc.hpp"
 #include "spice/analysis/dc_sweep.hpp"
 #include "spice/circuit.hpp"
@@ -263,6 +270,106 @@ TEST(Ac, LogSweepCoverage) {
     EXPECT_DOUBLE_EQ(f.back(), 1e6);
     EXPECT_GE(f.size(), 51u); // 5 decades * 10 + 1
     for (std::size_t i = 1; i < f.size(); ++i) EXPECT_GT(f[i], f[i - 1]);
+}
+
+// ------------------------------------------- reduced sweep, pinned unknowns
+//
+// ac_sweep_transfer drops the node/branch pair of every grounded ideal
+// voltage source from the Hessenberg-reduced pencil. Its results must stay
+// within the reduced-sweep tolerances of run_ac (the same ones
+// tests/test_prototype.cpp holds every circuit to).
+
+constexpr double kHRelTol = 1e-5; ///< |dh| <= kHRelTol*max(|h|, kHFloor)
+constexpr double kHFloor = 1e-3;
+
+std::uint64_t counter_value(const char* name) {
+    return obs::MetricsRegistry::global().counter(name).value();
+}
+
+void expect_h_close(const std::vector<std::complex<double>>& reference,
+                    const std::vector<std::complex<double>>& actual) {
+    ASSERT_EQ(reference.size(), actual.size());
+    for (std::size_t i = 0; i < reference.size(); ++i)
+        EXPECT_LE(std::abs(actual[i] - reference[i]),
+                  kHRelTol * std::max(std::abs(reference[i]), kHFloor))
+            << "freq " << i << ": " << actual[i] << " vs " << reference[i];
+}
+
+TEST(AcSweepPinned, GroundedSourceOnCapacitiveNode) {
+    // in -(R1 || C1)- x -(R2 || C2)- ground, driven by a grounded source
+    // with a phase, plus a grounded supply with no AC part feeding x. C1
+    // couples the pinned input into x's row, so the reduced rhs is affine
+    // in s; both sources' pairs leave the pencil.
+    Circuit c;
+    const NodeId in = c.node("in");
+    const NodeId x = c.node("x");
+    const NodeId vdd = c.node("vdd");
+    c.add<VoltageSource>("vin", in, ground, 0.5, 2.0, 30.0);
+    c.add<VoltageSource>("vdd", vdd, ground, 3.3);
+    c.add<Resistor>("r1", in, x, 1e3);
+    c.add<Capacitor>("c1", in, x, 1e-9);
+    c.add<Resistor>("r2", x, ground, 2e3);
+    c.add<Capacitor>("c2", x, ground, 4e-9);
+    c.add<Resistor>("rb", vdd, x, 1e4);
+    const Solution op = solve_op(c);
+    const auto freqs = log_sweep(10.0, 1e9, 6);
+    const auto h_ref = run_ac(c, op, freqs).transfer(x, in);
+
+    const std::uint64_t pinned = counter_value("spice.ac.pinned_unknowns");
+    const std::uint64_t reduced = counter_value("spice.ac.reduced_sweeps");
+    AcSweepWorkspace ws;
+    const auto h = ac_sweep_transfer(c, op, freqs, x, in, ws);
+    EXPECT_EQ(counter_value("spice.ac.reduced_sweeps"), reduced + 1);
+    EXPECT_EQ(counter_value("spice.ac.pinned_unknowns"), pinned + 4);
+    expect_h_close(h_ref, h);
+    // The divider's closed form (rb is AC-grounded through the supply):
+    // R/(R1 + R) with R = R2 || Rb = 0.625 at DC, C1/(C1 + C2) = 1/5 up high.
+    EXPECT_NEAR(std::abs(h.front()), 0.625, 1e-3);
+    EXPECT_NEAR(std::abs(h.back()), 0.2, 1e-3);
+}
+
+TEST(AcSweepPinned, FloatingSourceIsNotEliminated) {
+    // A source between two non-ground nodes fixes only their difference:
+    // its branch row holds two K entries, so nothing leaves the pencil.
+    Circuit c;
+    const NodeId p = c.node("p");
+    const NodeId n = c.node("n");
+    c.add<VoltageSource>("vf", p, n, 0.0, 1.0);
+    c.add<Resistor>("rp", p, ground, 1e3);
+    c.add<Resistor>("rn", n, ground, 1e3);
+    c.add<Capacitor>("cn", n, ground, 1e-6);
+    const Solution op = solve_op(c);
+    const auto freqs = log_sweep(1.0, 1e6, 8);
+    const auto h_ref = run_ac(c, op, freqs).transfer(n, p);
+
+    const std::uint64_t pinned = counter_value("spice.ac.pinned_unknowns");
+    const std::uint64_t reduced = counter_value("spice.ac.reduced_sweeps");
+    AcSweepWorkspace ws;
+    const auto h = ac_sweep_transfer(c, op, freqs, n, p, ws);
+    EXPECT_EQ(counter_value("spice.ac.reduced_sweeps"), reduced + 1);
+    EXPECT_EQ(counter_value("spice.ac.pinned_unknowns"), pinned);
+    expect_h_close(h_ref, h);
+}
+
+TEST(AcSweepPinned, OtaTestbenchPinsSupplyAndInput) {
+    // vsupply/vdd and vinp/inp: 4 of the testbench's 13 unknowns leave
+    // the pencil on every sweep.
+    const circuits::OtaConfig cfg;
+    const auto freqs = log_sweep(cfg.f_start, cfg.f_stop, cfg.points_per_decade);
+    AcSweepWorkspace ws;
+    for (const double w1 : {35e-6, 12e-6, 58e-6}) {
+        circuits::OtaSizing sizing;
+        sizing.w1 = w1;
+        Circuit ckt = circuits::build_ota_testbench(sizing, cfg);
+        const Solution op = solve_op(ckt);
+        ASSERT_EQ(ckt.unknowns(), 13u);
+        const NodeId out = *ckt.find_node("out");
+        const NodeId inp = *ckt.find_node("inp");
+        const std::uint64_t pinned = counter_value("spice.ac.pinned_unknowns");
+        const auto h = ac_sweep_transfer(ckt, op, freqs, out, inp, ws);
+        EXPECT_EQ(counter_value("spice.ac.pinned_unknowns"), pinned + 4);
+        expect_h_close(run_ac(ckt, op, freqs).transfer(out, inp), h);
+    }
 }
 
 // ----------------------------------------------------------------- sweeps
